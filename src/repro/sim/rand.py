@@ -200,6 +200,32 @@ class BufferedRandom(random.Random):
         pop("randbytes", None)
 
 
+def bounded_draw(n):
+    """Return ``draw(rng)``, value- and stream-identical to ``rng.randrange(n)``.
+
+    ``draw`` is CPython's ``Random._randbelow_with_getrandbits`` with the
+    bit count worked out once for the fixed bound: ``getrandbits(k)``
+    with ``k = n.bit_length()`` until the result is below ``n``.  It
+    skips ``randrange``'s argument checks and one Python call layer.
+    ``rng.randint(a, b)`` equals ``a + bounded_draw(b - a + 1)(rng)``.
+    ``tests/test_sim_rand.py`` pins the equivalence on every supported
+    Python, so a change to the stdlib's draw fails there instead of
+    silently shifting a stream.
+    """
+    if n < 1:
+        raise ValueError("bounded_draw needs n >= 1, got %r" % (n,))
+    k = n.bit_length()
+
+    def draw(rng):
+        getrandbits = rng.getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return draw
+
+
 class Streams:
     """A family of independent named RNG streams derived from one seed."""
 
@@ -476,6 +502,9 @@ class Zipfian:
             self._eta = (1.0 - math.pow(2.0 / n, 1.0 - theta)) / (
                 1.0 - self._zeta_2 / self._zeta_n
             )
+        # ``sample`` returns key 1 when ``u * zeta_n`` falls below this.
+        self._key1_bound = 1.0 + math.pow(0.5, theta)
+        self._last_key = n - 1
 
     @staticmethod
     def _zeta(n, theta):
@@ -496,10 +525,11 @@ class Zipfian:
         uz = u * self._zeta_n
         if uz < 1.0 or self.n == 1:
             return 0
-        if uz < 1.0 + math.pow(0.5, self.theta) or self.n == 2:
+        if uz < self._key1_bound or self.n == 2:
             return 1
         key = int(self.n * math.pow(self._eta * u - self._eta + 1.0, self._alpha))
-        return min(key, self.n - 1)
+        last = self._last_key
+        return key if key < last else last
 
     def __repr__(self):
         return "Zipfian(n=%r, theta=%r)" % (self.n, self.theta)

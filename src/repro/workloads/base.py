@@ -55,6 +55,29 @@ class Operation:
         return "<%s %s[%s]%s%s>" % (self.kind, self.table, self.key, lock, home)
 
 
+_new_object = object.__new__
+
+
+def trusted_op(kind, table, key, lock, home):
+    """An :class:`Operation` built without re-validating its shape.
+
+    For spec makers only, which mint tens of operations per transaction:
+    arguments are positional and ``lock`` is already resolved (``"X"``
+    for every update and insert).  Callers pass literal statement shapes
+    — the kind and lock written out in the source — so the checks
+    ``Operation.__init__`` repeats per op hold by construction, and
+    ``tests/test_workloads.py`` rebuilds every minted op through the
+    validating constructor to prove it.
+    """
+    op = _new_object(Operation)
+    op.kind = kind
+    op.table = table
+    op.key = key
+    op.lock = lock
+    op.home = home
+    return op
+
+
 class TxnSpec:
     """One transaction to execute: its type and ordered operations."""
 

@@ -31,8 +31,8 @@ Row counts are scaled down from the spec (3000 customers/district ->
 table sizes.
 """
 
-from repro.sim.rand import Zipfian
-from repro.workloads.base import Operation, Workload
+from repro.sim.rand import Zipfian, bounded_draw
+from repro.workloads.base import Workload, trusted_op
 
 
 class TPCC(Workload):
@@ -56,22 +56,33 @@ class TPCC(Workload):
         if warehouses < 1:
             raise ValueError("need at least one warehouse")
         self.warehouses = warehouses
+        # Uniform bounded draws, each value- and stream-identical to
+        # ``rng.randrange(n)`` for its fixed n.
+        self._any_warehouse = bounded_draw(warehouses)
+        self._other_warehouse = (
+            bounded_draw(warehouses - 1) if warehouses > 1 else None
+        )
+        self._district_offset = bounded_draw(10)
+        self._customer_offset = bounded_draw(customers_per_district)
+        self._any_item = bounded_draw(self.ITEMS)
+        # ``rng.randint(5, 15) == 5 + self._extra_lines(rng)``.
+        self._extra_lines = bounded_draw(11)
         # Warehouse activity is skewed (terminals are not equally busy);
         # this is the contention-calibration knob that puts the simulated
         # 128-WH run in the paper's lock-bound regime.  None = uniform.
         if warehouse_zipf_theta and warehouses > 1:
-            self._warehouse_zipf = Zipfian(warehouses, theta=warehouse_zipf_theta)
+            self._warehouse = Zipfian(warehouses, theta=warehouse_zipf_theta).sample
         else:
-            self._warehouse_zipf = None
+            self._warehouse = self._any_warehouse
         self.payment_name_scan = payment_name_scan
         # Item popularity is skewed (best-sellers): stock rows of popular
         # items are locked mid-NewOrder, *after* the district wait, which
         # is what makes transaction ages diverge from queue-arrival order
         # — the regime where the scheduling discipline matters.
         if item_zipf_theta:
-            self._item_zipf = Zipfian(self.ITEMS, theta=item_zipf_theta)
+            self._item = Zipfian(self.ITEMS, theta=item_zipf_theta).sample
         else:
-            self._item_zipf = None
+            self._item = self._any_item
         self.customers_per_district = customers_per_district
         self.items_per_warehouse = items_per_warehouse
         self.fixed_order_lines = fixed_order_lines
@@ -89,6 +100,8 @@ class TPCC(Workload):
             "new_order": w * 10,
             "history": w * 10 * customers_per_district,
         }
+        self._any_order = bounded_draw(self.schema["orders"])
+        self._any_order_line = bounded_draw(self.schema["order_line"])
         self.mix = [
             ("NewOrder", 45, self._new_order),
             ("Payment", 43, self._payment),
@@ -99,91 +112,65 @@ class TPCC(Workload):
         self.finalize()
 
     # ------------------------------------------------------------------
-    # Key helpers
-    # ------------------------------------------------------------------
-
-    def _warehouse(self, rng):
-        if self._warehouse_zipf is not None:
-            return self._warehouse_zipf.sample(rng)
-        return rng.randrange(self.warehouses)
-
-    def _district(self, rng, w):
-        return w * 10 + rng.randrange(10)
-
-    def _customer(self, rng, d):
-        return d * self.customers_per_district + rng.randrange(
-            self.customers_per_district
-        )
-
-    def _item(self, rng):
-        if self._item_zipf is not None:
-            return self._item_zipf.sample(rng)
-        return rng.randrange(self.ITEMS)
-
-    def _stock(self, rng, w, item):
-        return w * self.items_per_warehouse + item % self.items_per_warehouse
-
-    # ------------------------------------------------------------------
     # Transaction makers
+    #
+    # Keys: district ``w * 10 + offset``; customer
+    # ``d * customers_per_district + offset``; stock
+    # ``w * items_per_warehouse + item % items_per_warehouse``.  Ops are
+    # literal statement shapes built through ``trusted_op`` (kind, table,
+    # key, lock, home), with updates and inserts spelling out their X lock.
     # ------------------------------------------------------------------
-
-    def _order_line_count(self, rng):
-        if self.fixed_order_lines is not None:
-            return self.fixed_order_lines
-        return rng.randint(5, 15)
 
     def _new_order(self, rng):
         w = self._warehouse(rng)
-        d = self._district(rng, w)
-        c = self._customer(rng, d)
+        d = w * 10 + self._district_offset(rng)
+        c = d * self.customers_per_district + self._customer_offset(rng)
         ops = [
-            Operation("select", "warehouse", w, home=w),
-            Operation("select", "customer", c, home=w),
+            trusted_op("select", "warehouse", w, None, w),
+            trusted_op("select", "customer", c, None, w),
             # SELECT ... FOR UPDATE on the district row (hot!): an X lock
             # taken from a select statement -> os_event_wait call site A.
-            Operation("select", "district", d, lock="X", home=w),
-            Operation("update", "district", d, home=w),
+            trusted_op("select", "district", d, "X", w),
+            trusted_op("update", "district", d, "X", w),
         ]
-        for _ in range(self._order_line_count(rng)):
-            item = self._item(rng)
-            if rng.random() < self.remote_warehouse_prob and self.warehouses > 1:
-                supply_w = rng.randrange(self.warehouses)
+        n_lines = self.fixed_order_lines
+        if n_lines is None:
+            n_lines = 5 + self._extra_lines(rng)
+        item_of = self._item
+        remote_prob = self.remote_warehouse_prob
+        multi_warehouse = self.warehouses > 1
+        per_warehouse = self.items_per_warehouse
+        extend = ops.extend
+        for _ in range(n_lines):
+            item = item_of(rng)
+            if rng.random() < remote_prob and multi_warehouse:
+                supply_w = self._any_warehouse(rng)
             else:
                 supply_w = w
-            # ITEM is read-only and replicated everywhere: home=None.
-            ops.append(Operation("select", "item", item))
-            ops.append(
-                Operation(
-                    "select",
-                    "stock",
-                    self._stock(rng, supply_w, item),
-                    lock="X",
-                    home=supply_w,
-                )
-            )
-            ops.append(
-                Operation(
-                    "update", "stock", self._stock(rng, supply_w, item), home=supply_w
-                )
-            )
-            ops.append(
-                Operation(
-                    "insert", "order_line", self.fresh_key("order_line"), home=w
-                )
-            )
-        ops.append(Operation("insert", "orders", self.fresh_key("orders"), home=w))
-        # Inserting into NEW_ORDER takes a next-key lock on the district's
-        # insertion point — the classic TPC-C conflict with Delivery,
-        # which locks the same spot while consuming the oldest order.
-        ops.append(Operation("update", "new_order", d, home=w))
-        ops.append(
-            Operation("insert", "new_order", self.fresh_key("new_order"), home=w)
-        )
+            stock = supply_w * per_warehouse + item % per_warehouse
+            extend((
+                # ITEM is read-only and replicated everywhere: home=None.
+                trusted_op("select", "item", item, None, None),
+                trusted_op("select", "stock", stock, "X", supply_w),
+                trusted_op("update", "stock", stock, "X", supply_w),
+                trusted_op(
+                    "insert", "order_line", self.fresh_key("order_line"), "X", w
+                ),
+            ))
+        extend((
+            trusted_op("insert", "orders", self.fresh_key("orders"), "X", w),
+            # Inserting into NEW_ORDER takes a next-key lock on the
+            # district's insertion point — the classic TPC-C conflict with
+            # Delivery, which locks the same spot while consuming the
+            # oldest order.
+            trusted_op("update", "new_order", d, "X", w),
+            trusted_op("insert", "new_order", self.fresh_key("new_order"), "X", w),
+        ))
         return ops
 
     def _payment(self, rng):
         w = self._warehouse(rng)
-        d = self._district(rng, w)
+        d = w * 10 + self._district_offset(rng)
         # Remote payment (spec 2.5.1.2): the paying customer is homed at
         # another warehouse — the canonical TPC-C cross-shard write.  The
         # short-circuit keeps the draw (and the RNG stream) out of
@@ -193,66 +180,74 @@ class TPCC(Workload):
             and self.warehouses > 1
             and rng.random() < self.remote_payment_prob
         ):
-            cw = (w + 1 + rng.randrange(self.warehouses - 1)) % self.warehouses
-            cd = self._district(rng, cw)
+            cw = (w + 1 + self._other_warehouse(rng)) % self.warehouses
+            cd = cw * 10 + self._district_offset(rng)
         else:
             cw = w
             cd = d
-        c = self._customer(rng, cd)
+        first_customer = cd * self.customers_per_district
+        customer_offset = self._customer_offset
+        c = first_customer + customer_offset(rng)
         ops = [
             # UPDATE WAREHOUSE ... : X lock from an update statement (site B)
-            Operation("update", "warehouse", w, home=w),
-            Operation("update", "district", d, home=w),
+            trusted_op("update", "warehouse", w, "X", w),
+            trusted_op("update", "district", d, "X", w),
         ]
         if rng.random() < 0.6:
             # Lookup by last name: a secondary-index range scan over the
             # namesakes before the update (the expensive Payment variant).
             for _ in range(self.payment_name_scan):
                 ops.append(
-                    Operation("select", "customer", self._customer(rng, cd), home=cw)
+                    trusted_op(
+                        "select", "customer", first_customer + customer_offset(rng),
+                        None, cw,
+                    )
                 )
-        ops.append(Operation("update", "customer", c, home=cw))
-        ops.append(Operation("insert", "history", self.fresh_key("history"), home=w))
+        ops.append(trusted_op("update", "customer", c, "X", cw))
+        ops.append(trusted_op("insert", "history", self.fresh_key("history"), "X", w))
         return ops
 
     def _order_status(self, rng):
         w = self._warehouse(rng)
-        d = self._district(rng, w)
-        c = self._customer(rng, d)
-        ops = [Operation("select", "customer", c, home=w)]
-        for _ in range(rng.randint(5, 15)):
+        d = w * 10 + self._district_offset(rng)
+        c = d * self.customers_per_district + self._customer_offset(rng)
+        ops = [trusted_op("select", "customer", c, None, w)]
+        any_order_line = self._any_order_line
+        for _ in range(5 + self._extra_lines(rng)):
             ops.append(
-                Operation(
-                    "select",
-                    "order_line",
-                    rng.randrange(self.schema["order_line"]),
-                    home=w,
-                )
+                trusted_op("select", "order_line", any_order_line(rng), None, w)
             )
         return ops
 
     def _delivery(self, rng):
         w = self._warehouse(rng)
+        per_district = self.customers_per_district
         ops = []
-        for dd in range(10):
-            d = w * 10 + dd
-            # The oldest NEW_ORDER row per district is found with a
-            # locking select (site A) before being consumed.
-            ops.append(Operation("select", "new_order", d, lock="X", home=w))
-            ops.append(Operation("update", "new_order", d, home=w))
-            ops.append(
-                Operation(
-                    "update", "orders", rng.randrange(self.schema["orders"]), home=w
-                )
-            )
-            ops.append(Operation("update", "customer", self._customer(rng, d), home=w))
+        for d in range(w * 10, w * 10 + 10):
+            ops.extend((
+                # The oldest NEW_ORDER row per district is found with a
+                # locking select (site A) before being consumed.
+                trusted_op("select", "new_order", d, "X", w),
+                trusted_op("update", "new_order", d, "X", w),
+                trusted_op("update", "orders", self._any_order(rng), "X", w),
+                trusted_op(
+                    "update", "customer",
+                    d * per_district + self._customer_offset(rng), "X", w,
+                ),
+            ))
         return ops
 
     def _stock_level(self, rng):
         w = self._warehouse(rng)
-        d = self._district(rng, w)
-        ops = [Operation("select", "district", d, home=w)]
+        d = w * 10 + self._district_offset(rng)
+        per_warehouse = self.items_per_warehouse
+        first_stock = w * per_warehouse
+        ops = [trusted_op("select", "district", d, None, w)]
         for _ in range(20):
-            item = rng.randrange(self.ITEMS)
-            ops.append(Operation("select", "stock", self._stock(rng, w, item), home=w))
+            item = self._any_item(rng)
+            ops.append(
+                trusted_op(
+                    "select", "stock", first_stock + item % per_warehouse, None, w
+                )
+            )
         return ops

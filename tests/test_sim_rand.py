@@ -15,6 +15,7 @@ from repro.sim.rand import (
     Streams,
     Uniform,
     Zipfian,
+    bounded_draw,
 )
 
 
@@ -252,3 +253,56 @@ class TestBufferedRandomEquivalence:
         assert [buffered.random() for _ in range(10)] == expected
         buffered.setstate(state)
         assert [buffered.random() for _ in range(10)] == expected
+
+
+class TestBoundedDraw:
+    """``bounded_draw`` reproduces ``randrange``/``randint`` draw for draw.
+
+    Compared against a plain ``random.Random`` on values and on the core
+    state afterwards, from a :class:`BufferedRandom` that is fresh, one
+    that is buffering (past the ``random()`` warm-up) and one already
+    native.  CI runs this on every supported Python, so a stdlib change
+    to ``randrange`` fails here instead of shifting generator streams.
+    """
+
+    BOUNDS = (1, 2, 3, 10, 11, 300, 600, 8192, 8193, 10000, 1280000)
+    DRAWS = 200
+
+    def _pair(self, state, seed=11):
+        import random as stdlib_random
+
+        from repro.sim.rand import BufferedRandom
+
+        buffered = BufferedRandom(seed)
+        plain = stdlib_random.Random(seed)
+        if state == "buffered":
+            for _ in range(BufferedRandom._warmup + 16):
+                assert buffered.random() == plain.random()
+            assert buffered._buf
+        elif state == "native":
+            assert buffered.getrandbits(8) == plain.getrandbits(8)
+            assert "getrandbits" in buffered.__dict__
+        return buffered, plain
+
+    @pytest.mark.parametrize("state", ["fresh", "buffered", "native"])
+    @pytest.mark.parametrize("n", BOUNDS)
+    def test_matches_randrange(self, n, state):
+        buffered, plain = self._pair(state)
+        draw = bounded_draw(n)
+        assert [draw(buffered) for _ in range(self.DRAWS)] == [
+            plain.randrange(n) for _ in range(self.DRAWS)
+        ]
+        assert buffered.getstate() == plain.getstate()
+
+    @pytest.mark.parametrize("state", ["fresh", "buffered", "native"])
+    def test_offset_matches_randint(self, state):
+        buffered, plain = self._pair(state)
+        draw = bounded_draw(11)
+        assert [5 + draw(buffered) for _ in range(self.DRAWS)] == [
+            plain.randint(5, 15) for _ in range(self.DRAWS)
+        ]
+        assert buffered.getstate() == plain.getstate()
+
+    def test_rejects_empty_range(self):
+        with pytest.raises(ValueError):
+            bounded_draw(0)
