@@ -373,11 +373,12 @@ def run_experiment(config, simulator_cls=None):
         )
     if plan is not None and plan.node_crash_times:
         # Crash-recovery runs surface replay and in-doubt stalls as
-        # variance-tree frames; crash-free plans never reach this, so
-        # tracer fast paths (and goldens) are untouched.
+        # variance-tree frames.  They are subsystem frames, recorded
+        # outside every engine chain, so the engines' flat statement
+        # loops stay engaged.
         from repro.recovery import RECOVERY_FRAMES, crash_controller
 
-        tracer.instrumented.update(RECOVERY_FRAMES)
+        tracer.instrument_subsystem(RECOVERY_FRAMES)
         if config.is_clustered:
             controller = crash_controller(sim, plan, cluster=engine)
         else:
@@ -449,7 +450,7 @@ def _build_cluster(config, sim, tracer, workload, streams, engine_cls):
         )
 
         repl_config = config.replication or ReplicationConfig()
-        tracer.instrumented.update(REPLICATION_FRAMES)
+        tracer.instrument_subsystem(REPLICATION_FRAMES)
         groups = {}
         for node in nodes:
             group = ReplicaGroup(

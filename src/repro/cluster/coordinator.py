@@ -43,8 +43,8 @@ from repro.sim.network import NetworkConfig
 from repro.workloads.base import TxnSpec
 
 #: The traced factor names the coordinator records; the cluster adds
-#: them to the tracer's instrumented set (they appear in no engine call
-#: graph, so this cannot perturb engine tracing).
+#: them to the tracer as subsystem frames (they appear in no engine call
+#: graph, so engines keep their flat statement loops).
 DIST_FRAMES = ("dist_prepare_wait", "dist_commit_wait")
 
 
@@ -126,7 +126,7 @@ class Cluster:
             self.coord_disk = None
         # Distributed waits must be attributable without the caller
         # remembering to instrument them.
-        tracer.instrumented.update(DIST_FRAMES)
+        tracer.instrument_subsystem(DIST_FRAMES)
         self._draining = False
         self._inflight = 0
         self._idle = None

@@ -23,6 +23,11 @@ same function invoked from two contexts (the paper's os_event_wait [A] vs
 [B]) shows up as two factors; engines can pass an explicit ``site=`` for
 finer splits (e.g. the select vs update call sites inside
 lock_wait_suspend_thread).
+
+Subsystem frames (the cluster's, replication's and recovery's waits)
+join through :meth:`Tracer.instrument_subsystem` and never set
+:attr:`Tracer.engine_probed`, the flag engines gate their flat statement
+loops on.
 """
 
 from repro.core.annotations import _Frame
@@ -34,7 +39,12 @@ class Tracer:
     def __init__(self, sim, callgraph, instrumented=(), probe_cost=0.0, log=None):
         self.sim = sim
         self.callgraph = callgraph
-        self.instrumented = set(instrumented)
+        self.instrumented = set()
+        #: True once a function of ``callgraph`` is instrumented (with no
+        #: graph, once any probe is).  Engines read it per attempt and run
+        #: their flat statement loop while it is False; only the mutators
+        #: below change it.
+        self.engine_probed = False
         # Kept a float so probes can use the kernel's bare-float yield.
         self.probe_cost = float(probe_cost)
         self.log = log
@@ -46,6 +56,7 @@ class Tracer:
         # ``ctx.stack`` wholesale) simply escape the pool; correctness
         # never depends on recycling.
         self._frame_pool = []
+        self.instrument(instrumented)
 
     # ------------------------------------------------------------------
     # Transaction demarcation passthrough
@@ -101,7 +112,11 @@ class Tracer:
         try:
             result = yield from subgen
         except BaseException:
-            self._exit_frame(ctx, frame)
+            # A node crash empties an abandoned transaction's stack
+            # (``Engine._crash_txn``), so when its dead worker is
+            # finalised this frame is already gone: nothing to exit.
+            if ctx.stack and ctx.stack[-1] is frame:
+                self._exit_frame(ctx, frame)
             raise
         if self.probe_cost:
             self.probe_firings += 1
@@ -155,9 +170,28 @@ class Tracer:
             if self.callgraph is not None and name not in self.callgraph:
                 raise KeyError("unknown function %r" % (name,))
             self.instrumented.add(name)
+            self.engine_probed = True
+
+    def instrument_subsystem(self, names):
+        """Add subsystem frames, which never count as engine probes.
+
+        The cluster, replication and recovery layers record their waits
+        (``DIST_FRAMES``, ``REPLICATION_FRAMES``, ``RECOVERY_FRAMES``)
+        through :meth:`record` from the coordinator, the commit barrier
+        and ``Engine.recover`` — never inside an engine's statement chain
+        — so engines keep their flat statement loops.  A name in the
+        engine's call graph would break that, and is refused.
+        """
+        for name in names:
+            if self.callgraph is not None and name in self.callgraph:
+                raise ValueError(
+                    "%r is an engine function, not a subsystem frame" % (name,)
+                )
+            self.instrumented.add(name)
 
     def clear(self):
         self.instrumented.clear()
+        self.engine_probed = False
 
     def __repr__(self):
         return "<Tracer instrumented=%d probe_cost=%r>" % (

@@ -213,12 +213,15 @@ class MySQLEngine(Engine):
     def _attempt(self, worker, ctx, spec):
         """One attempt (returns a generator); retries run in the base loop.
 
-        With no instrumentation active the ``do_command`` ->
-        ``dispatch_command`` levels are pure pass-throughs, so the
-        command body is returned directly — same yields, two fewer
-        generator frames on every one of the run's hottest resumes.
+        Unless a function of ``mysql_callgraph()`` is instrumented, every
+        ``traced()`` call in the ``do_command`` chain is a pass-through,
+        so the flattened ``_mysql_execute_fast`` runs instead — same
+        yields, far fewer generator frames on the run's hottest resumes.
+        Subsystem frames (cluster, replication, recovery) are recorded
+        outside this chain and never close the gate, so clustered,
+        replicated and crash runs take the flat loop too.
         """
-        if not self.tracer.instrumented:
+        if not self.tracer.engine_probed:
             return self._mysql_execute_fast(worker, ctx, spec)
         return self._traced_attempt(worker, ctx, spec)
 

@@ -158,15 +158,17 @@ class PostgresEngine(Engine):
     def _attempt(self, worker, ctx, spec):
         """One attempt; retries run in the base engine's loop.
 
-        With no probes instrumented every ``tracer.traced`` call in the
-        delegation chain below is a passthrough, so the whole chain can
-        run in one generator frame: ``_postgres_execute_fast`` performs
-        the identical yields, RNG draws and state mutations without the
-        per-statement frame churn.  The traced chain is authoritative —
-        the fast path must mirror it exactly (the fast-vs-traced digest
-        tests pin this byte for byte).
+        Unless a function of ``postgres_callgraph()`` is instrumented,
+        every ``tracer.traced`` call in the delegation chain below is a
+        passthrough, so the whole chain can run in one generator frame:
+        ``_postgres_execute_fast`` performs the identical yields, RNG
+        draws and state mutations without the per-statement frame churn.
+        Subsystem frames (cluster, replication, recovery) are recorded
+        outside this chain and never close the gate.  The traced chain is
+        authoritative — the fast path must mirror it exactly (the
+        fast-vs-traced digest tests pin this byte for byte).
         """
-        if not self.tracer.instrumented:
+        if not self.tracer.engine_probed:
             return self._postgres_execute_fast(ctx, spec)
         return self._traced_attempt(worker, ctx, spec)
 

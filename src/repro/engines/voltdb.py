@@ -107,12 +107,14 @@ class VoltDBEngine(Engine):
     def _execute(self, worker, ctx, spec):
         """One stored-procedure invocation; retries never happen here.
 
-        With no probes instrumented every ``tracer.record`` call in the
-        traced body is a no-op, so the partition-serial execution can
-        run in ``_voltdb_execute_fast`` — same yields, same RNG draws,
-        same bookkeeping, minus the dead record calls and key tuples.
+        Unless a function of ``voltdb_callgraph()`` is instrumented,
+        every ``tracer.record`` call in the traced body is a no-op, so
+        the partition-serial execution can run in ``_voltdb_execute_fast``
+        — same yields, same RNG draws, same bookkeeping, minus the dead
+        record calls and key tuples.  Recovery's subsystem frames are
+        recorded outside this body and never close the gate.
         """
-        if not self.tracer.instrumented:
+        if not self.tracer.engine_probed:
             return self._voltdb_execute_fast(worker, ctx, spec)
         return self._voltdb_execute_traced(worker, ctx, spec)
 

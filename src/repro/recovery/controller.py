@@ -19,9 +19,9 @@ same seed and plan replay to the same post-recovery digest in any
 process.
 """
 
-# Variance-tree frames recovery adds.  The runner instruments these only
-# when the plan actually schedules a node crash, so uninstrumented runs
-# keep their fast paths (and their golden digests).
+# Variance-tree frames recovery adds.  The runner adds these as subsystem
+# frames only when the plan actually schedules a node crash; they are in
+# no engine call graph, so engines keep their flat statement loops.
 RECOVERY_FRAMES = ("recovery_replay", "indoubt_wait")
 
 

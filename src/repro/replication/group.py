@@ -39,9 +39,9 @@ replication oracles (:func:`repro.check.oracles.check_replication`).
 from repro.sim.disk import Disk, DiskConfig
 from repro.sim.kernel import WaitEvent
 
-#: Variance-tree frames replication adds.  The runner instruments them
-#: only when the experiment configures replicas, so replica-free runs
-#: keep their fast paths (and their golden digests).
+#: Variance-tree frames replication adds.  The runner adds them as
+#: subsystem frames only when the experiment configures replicas; they
+#: are in no engine call graph, so engines keep their flat statement loops.
 REPLICATION_FRAMES = ("repl_ack_wait", "promote_wait")
 
 #: Replica network identities live far above any shard id (shards are

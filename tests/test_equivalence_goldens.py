@@ -20,6 +20,7 @@ import pytest
 from repro.bench import paperconfig as pc
 from repro.bench.digest import run_digest
 from repro.bench.runner import run_experiment
+from repro.engines.mysql import mysql_callgraph
 
 
 def _load_goldens():
@@ -66,16 +67,12 @@ def test_zero_cost_instrumentation_is_invisible():
 
     With ``probe_cost=0`` the traced delegation chain must produce a
     byte-identical run to the fast path — instrumentation may only add
-    its probe cost, never change scheduling.  This pins
-    ``_mysql_execute_fast`` directly against the traced generators it
-    replaces.
+    its probe cost, never change scheduling.  Instrumenting every MySQL
+    function pins ``_mysql_execute_fast`` directly against the whole
+    traced chain it replaces.
     """
     base = pc.mysql_128wh_experiment("VATS", seed=7, n_txns=150)
-    probes = (
-        "row_search", "row_update", "row_insert", "lock_rec_lock",
-        "sel_set_rec_lock", "lock_wait_suspend",
-        "btr_cur_search_to_nth_level",
-    )
+    probes = frozenset(mysql_callgraph().functions)
     fast = run_digest(run_experiment(base))
     traced = run_digest(
         run_experiment(base.replaced(instrumented=probes, probe_cost=0.0))

@@ -1,41 +1,65 @@
 """Differential testing: engine fast paths vs the traced statement loops.
 
-The Postgres and VoltDB engines each carry two execution paths for one
-transaction body: the flattened single-frame fast generator (used
-whenever no probe is attached) and the traced delegation chain through
-:meth:`Tracer.traced`.  Hypothesis generates random workload programs —
-benchmark, seed, arrival rate, worker count — and runs each one twice:
-once uninstrumented (fast path) and once with every engine factor
-instrumented at ``probe_cost=0`` (traced path).  Zero-cost probes may
-not change anything observable, so the full run digests — latency
-sequence, final clock, metrics snapshot, abort/fault counts — must be
-byte-identical.
+Every engine carries two execution paths for one transaction body: the
+flattened single-frame fast generator (``*_execute_fast``), used unless a
+function of the engine's call graph is instrumented, and the traced
+delegation chain through :meth:`Tracer.traced`.  Hypothesis generates
+random programs — benchmark, seed, arrival rate, worker count and the
+run mode (shards, replicas and their mode, a node crash, the history
+recorder) — and runs each one twice: once uninstrumented (fast path) and
+once with every function of the engine's call graph instrumented at
+``probe_cost=0`` (traced path).  Zero-cost probes may not change
+anything observable, so the full run digests — latency sequence, final
+clock, metrics snapshot, abort/fault counts — must be byte-identical,
+and so must the oracle reports.  Each pair also counts the calls to the
+fast generator: the untraced run must take it and the probed run must
+not, or a gate that silently closed would compare traced with traced.
+
+The gate is exact only if nothing an engine records bypasses its call
+graph: the last test pins that every name traced or recorded in a
+probed clustered, replicated, crashing run is either an engine function
+or a subsystem frame, which never closes the gate.
 
 This is the engine-level analogue of ``test_kernel_differential``: the
 goldens pin a handful of fixed macro cells, these tests walk the
 configuration space around them.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.digest import run_digest
 from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.engines.postgres import PostgresConfig
-from repro.engines.voltdb import VoltDBConfig
+from repro.cluster.coordinator import DIST_FRAMES
+from repro.core.tracing import Tracer
+from repro.engines.mysql import MySQLConfig, MySQLEngine, mysql_callgraph
+from repro.engines.postgres import (
+    PostgresConfig,
+    PostgresEngine,
+    postgres_callgraph,
+)
+from repro.engines.voltdb import VoltDBConfig, VoltDBEngine, voltdb_callgraph
+from repro.faults.plan import FaultPlan
+from repro.recovery import RECOVERY_FRAMES
+from repro.replication import REPLICATION_FRAMES, ReplicationConfig
 
-#: Every traced factor in each engine: instrumenting all of them forces
-#: the whole delegation chain on every statement.
-POSTGRES_PROBES = (
-    "exec_simple_query", "PortalRun", "ExecutorRun", "index_fetch",
-    "PredicateLockTuple", "heap_lock_tuple", "LockAcquireExtended",
-    "ProcSleep", "CommitTransaction", "RecordTransactionCommit",
-    "XLogFlush", "ReleasePredicateLocks",
-)
-VOLTDB_PROBES = (
-    "transaction", "execute_procedure", "init_procedure",
-    "run_plan_fragments", "[waiting in queue]",
-)
+#: engine -> (every function of its call graph, class, flat statement loop)
+ENGINES = {
+    "mysql": (
+        frozenset(mysql_callgraph().functions), MySQLEngine,
+        "_mysql_execute_fast",
+    ),
+    "postgres": (
+        frozenset(postgres_callgraph().functions), PostgresEngine,
+        "_postgres_execute_fast",
+    ),
+    "voltdb": (
+        frozenset(voltdb_callgraph().functions), VoltDBEngine,
+        "_voltdb_execute_fast",
+    ),
+}
+SUBSYSTEM_FRAMES = frozenset(DIST_FRAMES + REPLICATION_FRAMES + RECOVERY_FRAMES)
 
 #: Small benchmarks with different op shapes: TPC-C mixes reads, writes
 #: and explicit lock modes; YCSB is key-value point ops; TATP is short
@@ -50,53 +74,143 @@ _workloads = st.sampled_from(
 _seeds = st.integers(min_value=0, max_value=2**16)
 _n_txns = st.integers(min_value=20, max_value=50)
 _rates = st.sampled_from([200.0, 500.0, 2_000.0])
-
-
-def _digests(config, probes):
-    fast = run_digest(run_experiment(config))
-    traced = run_digest(
-        run_experiment(config.replaced(instrumented=probes, probe_cost=0.0))
-    )
-    return fast, traced
-
-
-@settings(max_examples=10, deadline=None)
-@given(workload=_workloads, seed=_seeds, n_txns=_n_txns, rate=_rates)
-def test_postgres_fast_path_matches_traced(workload, seed, n_txns, rate):
-    name, kwargs = workload
-    config = ExperimentConfig(
-        engine="postgres",
-        workload=name,
-        workload_kwargs=kwargs,
-        engine_config=PostgresConfig(n_workers=8),
-        seed=seed,
-        n_txns=n_txns,
-        rate_tps=rate,
-        warmup_fraction=0.0,
-    )
-    fast, traced = _digests(config, POSTGRES_PROBES)
-    assert fast == traced
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    workload=_workloads,
-    seed=_seeds,
-    n_txns=_n_txns,
-    rate=_rates,
-    n_workers=st.integers(min_value=1, max_value=4),
+#: When the node crashes, as a fraction of the arrival horizon.
+_crashes = st.none() | st.floats(min_value=0.1, max_value=0.9)
+#: The run modes of an engine that can host a cluster.
+_cluster_modes = dict(
+    num_shards=st.sampled_from([1, 2]),
+    replicas=st.sampled_from([0, 1, 2]),
+    mode=st.sampled_from(["sync", "semi_sync", "async"]),
+    crash=_crashes,
+    check=st.booleans(),
 )
-def test_voltdb_fast_path_matches_traced(workload, seed, n_txns, rate, n_workers):
+
+
+def _config(engine, engine_config, workload, seed, n_txns, rate, crash,
+            check, num_shards=1, replicas=0, mode=None):
     name, kwargs = workload
-    config = ExperimentConfig(
-        engine="voltdb",
+    fault_plan = None
+    if crash is not None:
+        crash_at = crash * n_txns / rate * 1_000_000.0
+        fault_plan = FaultPlan(name="node-crash", node_crash_times=((0, crash_at),))
+    return ExperimentConfig(
+        engine=engine,
         workload=name,
         workload_kwargs=kwargs,
-        engine_config=VoltDBConfig(n_workers=n_workers),
+        engine_config=engine_config,
         seed=seed,
         n_txns=n_txns,
         rate_tps=rate,
         warmup_fraction=0.0,
+        num_shards=num_shards,
+        replicas=replicas,
+        replication=ReplicationConfig(mode=mode) if replicas else None,
+        fault_plan=fault_plan,
+        check=check,
     )
-    fast, traced = _digests(config, VOLTDB_PROBES)
-    assert fast == traced
+
+
+def _assert_fast_matches_traced(config):
+    probes, engine_cls, fast_name = ENGINES[config.engine]
+    original = getattr(engine_cls, fast_name)
+    calls = [0]
+
+    def counted(self, *args):
+        calls[0] += 1
+        return original(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_cls, fast_name, counted)
+        fast = run_experiment(config)
+        fast_calls = calls[0]
+        traced = run_experiment(
+            config.replaced(instrumented=probes, probe_cost=0.0)
+        )
+    assert fast_calls > 0, "the untraced run never took %s" % fast_name
+    assert calls[0] == fast_calls, "the probed run took %s" % fast_name
+    assert run_digest(fast) == run_digest(traced)
+    assert fast.check_report() == traced.check_report()
+
+
+@settings(max_examples=25, deadline=None)
+@given(workload=_workloads, seed=_seeds, n_txns=_n_txns, rate=_rates,
+       **_cluster_modes)
+def test_mysql_fast_path_matches_traced(workload, seed, n_txns, rate,
+                                        num_shards, replicas, mode, crash,
+                                        check):
+    _assert_fast_matches_traced(_config(
+        "mysql", MySQLConfig(n_workers=8), workload, seed, n_txns, rate,
+        crash, check, num_shards, replicas, mode,
+    ))
+
+
+@settings(max_examples=25, deadline=None)
+@given(workload=_workloads, seed=_seeds, n_txns=_n_txns, rate=_rates,
+       **_cluster_modes)
+def test_postgres_fast_path_matches_traced(workload, seed, n_txns, rate,
+                                           num_shards, replicas, mode, crash,
+                                           check):
+    _assert_fast_matches_traced(_config(
+        "postgres", PostgresConfig(n_workers=8), workload, seed, n_txns, rate,
+        crash, check, num_shards, replicas, mode,
+    ))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    workload=_workloads, seed=_seeds, n_txns=_n_txns, rate=_rates,
+    n_workers=st.integers(min_value=1, max_value=4), crash=_crashes,
+    check=st.booleans(),
+)
+def test_voltdb_fast_path_matches_traced(workload, seed, n_txns, rate,
+                                         n_workers, crash, check):
+    _assert_fast_matches_traced(_config(
+        "voltdb", VoltDBConfig(n_workers=n_workers), workload, seed, n_txns,
+        rate, crash, check,
+    ))
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_every_traced_name_is_in_the_call_graph_or_a_subsystem_frame(
+    engine, monkeypatch
+):
+    """The gate's invariant: a name outside both sets would be recorded
+    by the traced chain but silently dropped whenever the flat loop runs.
+    The clustered engines run 2 shards with a replica each, a node crash
+    and a coordinator crash (which leaves a branch in doubt); VoltDB
+    hosts no cluster, so its run is a single-node crash."""
+    probes = ENGINES[engine][0]
+    seen = set()
+    traced, record = Tracer.traced, Tracer.record
+
+    def spy_traced(self, ctx, name, *args, **kwargs):
+        seen.add(name)
+        return traced(self, ctx, name, *args, **kwargs)
+
+    def spy_record(self, ctx, name, *args, **kwargs):
+        seen.add(name)
+        return record(self, ctx, name, *args, **kwargs)
+
+    monkeypatch.setattr(Tracer, "traced", spy_traced)
+    monkeypatch.setattr(Tracer, "record", spy_record)
+    if engine == "voltdb":
+        crashes, cluster = ((0, 200_000.0),), {}
+    else:
+        crashes = ((0, 100_000.0), ("coord", 120_000.0))
+        cluster = dict(num_shards=2, replicas=1,
+                       replication=ReplicationConfig(mode="semi_sync"))
+    run_experiment(ExperimentConfig(
+        engine=engine,
+        workload="tpcc",
+        workload_kwargs={"warehouses": 4, "remote_payment_prob": 0.3},
+        seed=5,
+        n_txns=200,
+        rate_tps=500.0,
+        fault_plan=FaultPlan(name="crash", node_crash_times=crashes),
+        check=True,
+        instrumented=probes,
+        probe_cost=0.0,
+        **cluster,
+    ))
+    assert seen - probes - SUBSYSTEM_FRAMES == set()
+    assert seen & probes and seen & SUBSYSTEM_FRAMES

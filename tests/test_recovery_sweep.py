@@ -21,14 +21,19 @@ seed and fault plan must produce a byte-identical post-recovery run
 digest in interpreters with different ``PYTHONHASHSEED``.
 """
 
+import gc
 import json
+import sys
 
 import pytest
 
+from repro.bench import paperconfig as pc
 from repro.bench.digest import run_digest
 from repro.bench.runner import ExperimentConfig, run_experiment
+from repro.engines.mysql import mysql_callgraph
+from repro.engines.postgres import postgres_callgraph
 from repro.exec import run_many
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, named_plan
 
 from tests.util import assert_hash_seed_invariant
 
@@ -218,3 +223,29 @@ def test_post_crash_digest_in_process_repeatable():
     assert run_digest(run_experiment(config)) == run_digest(
         run_experiment(config)
     )
+
+
+@pytest.mark.parametrize("engine", ["mysql", "postgres"])
+def test_probed_crash_leaves_dead_workers_quiet(engine, monkeypatch):
+    """A node crash abandons its workers mid traced frame and empties
+    their transactions' frame stacks; finalising those generators later
+    must raise nothing (it used to report "traced frames exited out of
+    order" through ``sys.unraisablehook``), and the probes stay free."""
+    if engine == "mysql":
+        base = pc.mysql_2wh_experiment(seed=3, n_txns=400)
+        probes = frozenset(mysql_callgraph().functions)
+    else:
+        base = pc.postgres_experiment(seed=3, n_txns=400)
+        probes = frozenset(postgres_callgraph().functions)
+    base = base.replaced(fault_plan=named_plan("node-crash"), check=True)
+    raised = []
+    monkeypatch.setattr(
+        sys, "unraisablehook", lambda args: raised.append(repr(args.exc_value))
+    )
+    probed = run_experiment(base.replaced(instrumented=probes, probe_cost=0.0))
+    assert probed.failed_counts.get("node_crash"), "the crash hit no txn"
+    digest = run_digest(probed)
+    del probed
+    gc.collect()
+    assert raised == []
+    assert digest == run_digest(run_experiment(base))

@@ -192,6 +192,53 @@ def test_instrument_validates_names(sim, graph):
     assert "child" in tracer.instrumented
     with pytest.raises(KeyError):
         tracer.instrument(["not_a_function"])
+    # The constructor too: a misspelt probe must not silently probe nothing.
+    with pytest.raises(KeyError):
+        make_tracer(sim, graph, instrumented={"root", "not_a_function"})
+    # A tracer with no call graph checks nothing.
+    assert make_tracer(sim, None, instrumented={"anything"}).instrumented == {
+        "anything"
+    }
+
+
+def test_engine_probed_tracks_call_graph_probes_only(sim, graph):
+    tracer = make_tracer(sim, graph, instrumented=set())
+    assert not tracer.engine_probed
+    tracer.instrument_subsystem(["dist_prepare_wait", "repl_ack_wait"])
+    assert "dist_prepare_wait" in tracer.instrumented
+    assert not tracer.engine_probed
+    tracer.instrument(["child"])
+    assert tracer.engine_probed
+    tracer.clear()
+    assert not tracer.engine_probed and not tracer.instrumented
+    assert make_tracer(sim, graph, instrumented={"root"}).engine_probed
+    # With no call graph, any probe counts.
+    assert make_tracer(sim, None, instrumented={"anything"}).engine_probed
+
+
+def test_subsystem_frames_must_not_be_engine_functions(sim, graph):
+    tracer = make_tracer(sim, graph, instrumented=set())
+    with pytest.raises(ValueError):
+        tracer.instrument_subsystem(["child"])
+    assert not tracer.engine_probed
+
+
+def test_crash_cleared_stack_finalises_quietly(sim, graph):
+    """A worker abandoned by a node crash has its ctx stack emptied; when
+    its generator is finalised the traced frame must not raise."""
+    tracer = make_tracer(sim, graph, instrumented={"root", "child"})
+    ctx = TransactionContext(sim, 1, "t")
+
+    def root_gen():
+        yield from tracer.traced(ctx, "child", body(10.0))
+
+    gen = tracer.traced(ctx, "root", root_gen())
+    tracer.begin_transaction(ctx)
+    next(gen)
+    assert len(ctx.stack) == 2
+    del ctx.stack[:]  # what Engine._crash_txn does
+    gen.close()  # raises RuntimeError if a frame exits out of order
+    assert ctx.durations == {}
 
 
 def test_record_manual_respects_instrumented_set(sim, graph):
