@@ -11,6 +11,14 @@ covering the run's full observable output (exact latency sequence,
 final virtual clock, metrics snapshot, abort/failure/fault counts —
 see ``repro.bench.digest``).
 
+Also writes ``tests/goldens/traced_digests.json``: the traced chains
+at TProfiler's probe cost, one :func:`trace_digest` per
+:func:`traced_golden_configs` cell.  Every other golden runs
+unprobed, and the fast-vs-traced checks run at ``probe_cost=0`` and
+compare only ``run_digest``, which carries no trace attribution; these
+cells pin the probe-cost yields and the factor keys (function, site)
+that every profile is built from.
+
 These goldens were captured from the *pre-optimisation* kernel and are
 the contract every kernel fast path must honour: same (config, seed) ⇒
 byte-identical RunResult.  Only regenerate them for an intentional
@@ -24,15 +32,21 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.bench import paperconfig as pc
-from repro.bench.digest import run_digest
-from repro.bench.runner import run_experiment
-from repro.faults import named_plan
+import hashlib
 
-GOLDEN_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "tests", "goldens",
-    "equivalence_digests.json",
-)
+from repro.bench import paperconfig as pc
+from repro.bench.digest import run_digest, run_payload
+from repro.bench.runner import ExperimentConfig, run_experiment
+from repro.engines.mysql import mysql_callgraph
+from repro.engines.postgres import postgres_callgraph
+from repro.engines.voltdb import voltdb_callgraph
+from repro.faults import named_plan
+from repro.faults.plan import FaultPlan
+from repro.replication import ReplicationConfig
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "goldens")
+GOLDEN_PATH = os.path.join(GOLDEN_DIR, "equivalence_digests.json")
+TRACED_GOLDEN_PATH = os.path.join(GOLDEN_DIR, "traced_digests.json")
 
 SEEDS = (7, 21, 99)
 N_TXNS = 250
@@ -60,16 +74,114 @@ def golden_configs():
     yield "mysql/seed7/full-chaos", chaos
 
 
-def main():
-    digests = {}
-    for key, config in golden_configs():
-        digests[key] = run_digest(run_experiment(config))
-        print("%s  %s" % (digests[key], key))
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w") as fh:
+def _hex_map(durations):
+    """``{(name, site): seconds}`` as sorted ``[name, site, hex]`` rows."""
+    return sorted([name, site, value.hex()]
+                  for (name, site), value in durations.items())
+
+
+def trace_digest(result):
+    """SHA-256 over ``run_payload`` plus every trace's attribution.
+
+    Each trace in log order contributes its ``txn_id``, ``committed``,
+    ``attempts`` and its ``durations`` and ``under`` maps, keys sorted
+    and floats as ``float.hex``.
+    """
+    payload = run_payload(result)
+    payload["traces"] = [
+        [
+            trace.txn_id,
+            trace.committed,
+            trace.attempts,
+            _hex_map(trace.durations),
+            sorted([name, site, _hex_map(children)]
+                   for (name, site), children in trace.under.items()),
+        ]
+        for trace in result.log.traces
+    ]
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+#: TProfiler's source-level probe cost (microseconds).
+TRACED_PROBE_COST = 0.05
+
+#: One partial probe set per engine that skips call-graph levels.
+PARTIAL_PROBES = {
+    "mysql": ("do_command", "mysql_execute_command", "lock_rec_lock",
+              "os_event_wait"),
+    "postgres": ("exec_simple_query", "ExecutorRun", "ProcSleep",
+                 "XLogFlush"),
+    "voltdb": ("transaction", "execute_procedure"),
+}
+
+
+def _sharded_crash_config(engine):
+    """2 shards, a semi-sync replica each, a node and a coordinator crash.
+
+    The coordinator crash leaves prepared branches in doubt, so the cell
+    covers traced branches and their resolution after restart.
+    """
+    return ExperimentConfig(
+        engine=engine,
+        workload="tpcc",
+        workload_kwargs={"warehouses": 4, "remote_payment_prob": 0.3},
+        seed=5,
+        n_txns=200,
+        rate_tps=500.0,
+        num_shards=2,
+        replicas=1,
+        replication=ReplicationConfig(mode="semi_sync"),
+        fault_plan=FaultPlan(
+            name="crash",
+            node_crash_times=((0, 100_000.0), ("coord", 120_000.0)),
+        ),
+        check=True,
+    )
+
+
+def traced_golden_configs():
+    """Yield (key, ExperimentConfig) pairs probed at TRACED_PROBE_COST."""
+    bases = {
+        "mysql": (pc.mysql_128wh_experiment("VATS", seed=SEEDS[0],
+                                            n_txns=N_TXNS),
+                  mysql_callgraph()),
+        "postgres": (pc.postgres_experiment(seed=SEEDS[0], n_txns=N_TXNS),
+                     postgres_callgraph()),
+        "voltdb": (pc.voltdb_experiment(seed=SEEDS[0], n_txns=N_TXNS),
+                   voltdb_callgraph()),
+    }
+    for engine, (base, graph) in sorted(bases.items()):
+        probe_sets = (("all", graph.functions),
+                      ("partial", PARTIAL_PROBES[engine]))
+        for label, probes in probe_sets:
+            yield "%s/seed%d/%s" % (engine, SEEDS[0], label), base.replaced(
+                instrumented=frozenset(probes), probe_cost=TRACED_PROBE_COST)
+    for engine in ("mysql", "postgres"):
+        probes = bases[engine][1].functions
+        yield "%s/2shard-crash/all" % engine, _sharded_crash_config(
+            engine).replaced(instrumented=frozenset(probes),
+                             probe_cost=TRACED_PROBE_COST)
+
+
+def _write(path, digests):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
         json.dump(digests, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print("wrote %d digests to %s" % (len(digests), GOLDEN_PATH))
+    print("wrote %d digests to %s" % (len(digests), path))
+
+
+def main():
+    for path, configs, digest in (
+        (GOLDEN_PATH, golden_configs(), run_digest),
+        (TRACED_GOLDEN_PATH, traced_golden_configs(), trace_digest),
+    ):
+        digests = {}
+        for key, config in configs:
+            digests[key] = digest(run_experiment(config))
+            print("%s  %s" % (digests[key], key))
+        _write(path, digests)
     return 0
 
 

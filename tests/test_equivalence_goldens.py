@@ -7,11 +7,18 @@ reproduce its digest byte for byte: same (config, seed) ⇒ identical
 latency sequence, final clock, metrics snapshot and abort/fault counts,
 no matter what wall-clock fast paths the kernel or engines grow.
 
+``tests/goldens/traced_digests.json`` pins the traced chains at
+TProfiler's probe cost (0.05 µs): its digests add every trace's
+per-factor ``durations`` and ``under`` maps to the run payload, so a
+moved probe yield or site label fails here even though zero-cost
+probes would hide it.
+
 Regenerate with ``scripts/gen_equivalence_goldens.py`` — but only for
 an intentional *semantic* change to the simulation, never to make a
 performance patch pass.
 """
 
+import importlib.util
 import json
 import os
 
@@ -19,21 +26,22 @@ import pytest
 
 from repro.bench import paperconfig as pc
 from repro.bench.digest import run_digest
-from repro.bench.runner import run_experiment
+from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.engines.mysql import mysql_callgraph
+from repro.engines.postgres import postgres_callgraph
+from repro.engines.voltdb import voltdb_callgraph
+from repro.faults.plan import named_plan
+from repro.replication import ReplicationConfig
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
 
-def _load_goldens():
-    path = os.path.join(
-        os.path.dirname(__file__), "goldens", "equivalence_digests.json"
-    )
-    with open(path) as fh:
+def _load_goldens(name):
+    with open(os.path.join(GOLDEN_DIR, name)) as fh:
         return json.load(fh)
 
 
-def _golden_configs():
-    import importlib.util
-
+def _generator():
     script = os.path.join(
         os.path.dirname(__file__), "..", "scripts",
         "gen_equivalence_goldens.py",
@@ -41,11 +49,14 @@ def _golden_configs():
     spec = importlib.util.spec_from_file_location("gen_goldens", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return list(module.golden_configs())
+    return module
 
 
-GOLDENS = _load_goldens()
-CONFIGS = _golden_configs()
+GEN = _generator()
+GOLDENS = _load_goldens("equivalence_digests.json")
+CONFIGS = list(GEN.golden_configs())
+TRACED_GOLDENS = _load_goldens("traced_digests.json")
+TRACED_CONFIGS = list(GEN.traced_golden_configs())
 
 
 def test_golden_set_is_complete():
@@ -62,54 +73,74 @@ def test_run_digest_matches_golden(key, config):
     )
 
 
-def test_zero_cost_instrumentation_is_invisible():
-    """The flattened uninstrumented statement path vs the traced chain.
+def test_traced_golden_set_is_complete():
+    assert sorted(TRACED_GOLDENS) == sorted(key for key, _ in TRACED_CONFIGS)
 
-    With ``probe_cost=0`` the traced delegation chain must produce a
-    byte-identical run to the fast path — instrumentation may only add
-    its probe cost, never change scheduling.  Instrumenting every MySQL
-    function pins ``_mysql_execute_fast`` directly against the whole
-    traced chain it replaces.
+
+@pytest.mark.parametrize(
+    "key,config", TRACED_CONFIGS, ids=[key for key, _ in TRACED_CONFIGS]
+)
+def test_trace_digest_matches_golden(key, config):
+    assert GEN.trace_digest(run_experiment(config)) == TRACED_GOLDENS[key], (
+        "trace drift on %s: a probe-cost yield, frame or site label of "
+        "the traced chain moved" % key
+    )
+
+
+def _sharded(engine):
+    """Two shards with cross-shard Payments, so 2PC branches run."""
+    return ExperimentConfig(
+        engine=engine,
+        workload="tpcc",
+        workload_kwargs={"warehouses": 4, "remote_payment_prob": 0.3},
+        seed=7,
+        n_txns=200,
+        rate_tps=500.0,
+        num_shards=2,
+        check=True,
+    )
+
+
+#: name -> (base config, the engine's call graph).
+ZERO_COST_CASES = {
+    "mysql": (
+        pc.mysql_128wh_experiment("VATS", seed=7, n_txns=200),
+        mysql_callgraph(),
+    ),
+    "mysql-replicated-crash": (
+        pc.mysql_2wh_experiment(seed=7, n_txns=400).replaced(
+            replicas=1,
+            replication=ReplicationConfig(mode="semi_sync"),
+            fault_plan=named_plan("node-crash"),
+            check=True,
+        ),
+        mysql_callgraph(),
+    ),
+    "mysql-2shard": (_sharded("mysql"), mysql_callgraph()),
+    "postgres": (
+        pc.postgres_experiment(seed=7, n_txns=200), postgres_callgraph(),
+    ),
+    "postgres-2shard": (_sharded("postgres"), postgres_callgraph()),
+    "voltdb": (pc.voltdb_experiment(seed=7, n_txns=200), voltdb_callgraph()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_COST_CASES))
+def test_zero_cost_instrumentation_is_invisible(name):
+    """Each engine's flat statement body vs its traced chain.
+
+    With every function of the engine's call graph probed at
+    ``probe_cost=0`` the traced chain must produce a byte-identical run
+    to the flat body: instrumentation may only add its probe cost,
+    never change scheduling.  The sharded cases run 2PC branches
+    through both bodies; the oracles must stay clean.
     """
-    base = pc.mysql_128wh_experiment("VATS", seed=7, n_txns=150)
-    probes = frozenset(mysql_callgraph().functions)
-    fast = run_digest(run_experiment(base))
-    traced = run_digest(
-        run_experiment(base.replaced(instrumented=probes, probe_cost=0.0))
+    base, graph = ZERO_COST_CASES[name]
+    run = run_experiment(base)
+    traced = run_experiment(
+        base.replaced(instrumented=frozenset(graph.functions), probe_cost=0.0)
     )
-    assert fast == traced
-
-
-def test_postgres_zero_cost_instrumentation_is_invisible():
-    """Pins ``_postgres_execute_fast`` against the traced statement loop.
-
-    Instrumenting every Postgres factor with ``probe_cost=0`` forces the
-    full ``_portal_run`` delegation chain; the flattened fast path must
-    produce a byte-identical run.
-    """
-    base = pc.postgres_experiment(seed=7, n_txns=150)
-    probes = (
-        "exec_simple_query", "PortalRun", "ExecutorRun", "index_fetch",
-        "PredicateLockTuple", "heap_lock_tuple", "LockAcquireExtended",
-        "ProcSleep", "CommitTransaction", "RecordTransactionCommit",
-        "XLogFlush", "ReleasePredicateLocks",
+    assert run_digest(run) == run_digest(traced), (
+        "%s: flat body drifted from the traced chain" % name
     )
-    fast = run_digest(run_experiment(base))
-    traced = run_digest(
-        run_experiment(base.replaced(instrumented=probes, probe_cost=0.0))
-    )
-    assert fast == traced
-
-
-def test_voltdb_zero_cost_instrumentation_is_invisible():
-    """Pins ``_voltdb_execute_fast`` against the traced partition loop."""
-    base = pc.voltdb_experiment(seed=7, n_txns=150)
-    probes = (
-        "transaction", "execute_procedure", "init_procedure",
-        "run_plan_fragments", "[waiting in queue]",
-    )
-    fast = run_digest(run_experiment(base))
-    traced = run_digest(
-        run_experiment(base.replaced(instrumented=probes, probe_cost=0.0))
-    )
-    assert fast == traced
+    assert run.check_report() in (None, []), run.check_report()
