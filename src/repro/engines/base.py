@@ -20,12 +20,14 @@ deferred LRU updates").
 
 Robustness machinery shared by the lock-based engines:
 
-- **One retry loop.**  ``_execute`` runs ``_attempt`` (the subclass hook)
-  under the engine's :class:`~repro.faults.RetryPolicy` — exponential
-  backoff with jitter drawn from a *dedicated* seeded stream, so retry
-  activity never perturbs the engine's other draws.  Aborts and final
-  failures are accounted per reason (``deadlock``/``timeout``/``shed``/
-  ``deadline``) and surfaced on ``RunResult``.
+- **One retry loop.**  The worker loop runs ``_attempt`` (the subclass
+  hook) under the engine's :class:`~repro.faults.RetryPolicy` —
+  exponential backoff with jitter drawn from a *dedicated* seeded
+  stream, so retry activity never perturbs the engine's other draws.
+  Engines that never retry (VoltDB) define ``_execute`` instead, which
+  runs in the retry loop's place.  Aborts and final failures are
+  accounted per reason (``deadlock``/``timeout``/``shed``/``deadline``)
+  and surfaced on ``RunResult``.
 - **Graceful degradation.**  ``max_queue_depth`` bounds the submission
   queue — an arrival that finds it full is *shed* (rejected immediately)
   instead of growing the backlog without bound; ``txn_deadline`` gives
@@ -157,7 +159,7 @@ class NodeCrashReport:
 
 
 class Engine:
-    """Base engine: submission queue + N workers running ``_execute``."""
+    """Base engine: submission queue + N workers running the retry loop."""
 
     name = "abstract"
     #: Engines that implement the ``_branch_*`` hooks can act as 2PC
@@ -274,12 +276,11 @@ class Engine:
         tracer = self.tracer
         policy = self.retry_policy
         check = self.check
-        # Engines that keep the stock retry loop get it inlined here —
+        # The retry loop lives inline here, not in a delegated method:
         # one generator frame fewer on every resume of the run's hottest
-        # delegation chain.  The inline block below is ``_execute``'s
-        # body verbatim (the equivalence goldens pin the two together);
-        # subclasses that override ``_execute`` still get it called.
-        stock_execute = type(self)._execute is Engine._execute
+        # delegation chain.  Engines that never retry (VoltDB) define
+        # ``_execute`` instead, and it runs in the loop's place.
+        execute = getattr(self, "_execute", None)
         while True:
             item = yield from self.queue.get()
             if item is _Shutdown:
@@ -309,8 +310,8 @@ class Engine:
                 worker.current = None
                 continue
             worker.txns_executed += 1
-            if not stock_execute:
-                yield from self._execute(worker, ctx, spec)
+            if execute is not None:
+                yield from execute(worker, ctx, spec)
                 worker.current = None
                 continue
             tracer.begin_transaction(ctx)
@@ -346,49 +347,12 @@ class Engine:
             self.observe_txn(ctx, committed)
             worker.current = None
 
-    def _execute(self, worker, ctx, spec):
-        """Generator: run one transaction under the engine's retry policy.
-
-        Subclasses with a retryable abort path implement ``_attempt``;
-        task-concurrent engines (VoltDB) override ``_execute`` wholesale.
-        """
-        tracer = self.tracer
-        policy = self.retry_policy
-        check = self.check
-        tracer.begin_transaction(ctx)
-        committed = False
-        reason = None
-        for attempt in range(policy.max_attempts):
-            if attempt:
-                ctx.attempts += 1
-                self._t_retries.inc()
-                policy.note_retry(reason or "abort")
-                yield policy.backoff(attempt, self.retry_rng)
-                if (
-                    self.txn_deadline is not None
-                    and self.sim.now - ctx.birth >= self.txn_deadline
-                ):
-                    reason = "deadline"
-                    break
-            ctx.abort_reason = None
-            if check.enabled:
-                check.begin_attempt(ctx)
-            ok = yield from self._attempt(worker, ctx, spec)
-            if ok:
-                committed = True
-                break
-            reason = ctx.abort_reason or "abort"
-            self._count_abort(reason)
-        if not committed:
-            final = reason or "abort"
-            ctx.abort_reason = final
-            policy.note_give_up(final)
-            self._count_failed(final)
-        tracer.end_transaction(ctx, committed)
-        self.observe_txn(ctx, committed)
-
     def _attempt(self, worker, ctx, spec):
-        """Generator: one attempt; True on commit (subclass hook)."""
+        """Generator: one attempt; True on commit (subclass hook).
+
+        On failure ``ctx.abort_reason`` names why; the worker loop
+        retries under the engine's policy.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------

@@ -213,6 +213,8 @@ class MySQLEngine(Engine):
     def _attempt(self, worker, ctx, spec):
         """One attempt (returns a generator); retries run in the base loop.
 
+        The engine has one flat and one traced statement body, and each
+        serves both attempts and 2PC branches (``_branch_execute``).
         Unless a function of ``mysql_callgraph()`` is instrumented, every
         ``traced()`` call in the ``do_command`` chain is a pass-through,
         so the flattened ``_mysql_execute_fast`` runs instead — same
@@ -222,28 +224,23 @@ class MySQLEngine(Engine):
         replicated and crash runs take the flat loop too.
         """
         if not self.tracer.engine_probed:
-            return self._mysql_execute_fast(worker, ctx, spec)
-        return self._traced_attempt(worker, ctx, spec)
+            return self._mysql_execute_fast(worker, ctx, spec.ops)
+        traced = self.tracer.traced
+        return traced(ctx, "do_command", traced(
+            ctx, "dispatch_command", traced(
+                ctx, "mysql_execute_command",
+                self._mysql_execute(worker, ctx, spec.ops),
+            ),
+        ))
 
-    def _traced_attempt(self, worker, ctx, spec):
-        ok = yield from self.tracer.traced(
-            ctx, "do_command", self._do_command(worker, ctx, spec)
-        )
-        return ok
+    def _mysql_execute(self, worker, ctx, ops, branch=None):
+        """Generator: the traced statement loop; True on success.
 
-    def _do_command(self, worker, ctx, spec):
-        ok = yield from self.tracer.traced(
-            ctx, "dispatch_command", self._dispatch_command(worker, ctx, spec)
-        )
-        return ok
-
-    def _dispatch_command(self, worker, ctx, spec):
-        ok = yield from self.tracer.traced(
-            ctx, "mysql_execute_command", self._mysql_execute(worker, ctx, spec)
-        )
-        return ok
-
-    def _mysql_execute(self, worker, ctx, spec):
+        An attempt commits and releases its locks, or releases them on
+        abort.  With a ``branch`` the loop stops after the statements,
+        stores the redo bytes on the branch and releases nothing: locks
+        stay held until the global decision (``Engine._run_branch``).
+        """
         redo_bytes = 0
         consume = self.cpu.consume
         sample = self._stmt_cpu_dist.sample
@@ -251,7 +248,7 @@ class MySQLEngine(Engine):
         catalog = self.catalog
         traced = self.tracer.traced
         check = self.check
-        for op in spec.ops:
+        for op in ops:
             # Parse/plan/execute CPU runs on a finite core set: near
             # saturation, CPU queueing stretches statements and therefore
             # lock hold times — the paper's hardware regime.
@@ -270,14 +267,16 @@ class MySQLEngine(Engine):
                     ctx, "row_ins", self._row_insert(worker, ctx, op, table)
                 )
             if not ok:
-                yield from self.lockmgr.release_all_timed(ctx)
+                if branch is None:
+                    yield from self.lockmgr.release_all_timed(ctx)
                 return False
             redo_bytes += table.redo_bytes(op.kind)
             if check.enabled:
                 check.record_op(ctx, op, op.lock is not None)
-        yield from self.tracer.traced(
-            ctx, "innobase_commit", self._commit(ctx, redo_bytes)
-        )
+        if branch is not None:
+            branch.redo_bytes = redo_bytes
+            return True
+        yield from traced(ctx, "innobase_commit", self._commit(ctx, redo_bytes))
         repl = self.replication
         if repl is not None and redo_bytes:
             # Lossless semisync (AFTER_SYNC): the ack wait happens with
@@ -288,19 +287,20 @@ class MySQLEngine(Engine):
         yield from self.lockmgr.release_all_timed(ctx)
         return True
 
-    def _mysql_execute_fast(self, worker, ctx, spec):
+    def _mysql_execute_fast(self, worker, ctx, ops, branch=None):
         """Uninstrumented ``_mysql_execute`` with the hot chain flattened.
 
         With no instrumentation active every ``traced()`` wrapper below
         ``_mysql_execute`` is a pass-through, so the per-statement
         delegation frames (``_row_search`` / ``_row_update`` /
-        ``_row_insert`` / ``_clust_index_insert`` / ``_lock_rec_lock``,
-        the B-tree ``search`` descent, ``fix_page``, ``CoreSet.consume``
-        and ``request_timed``) are inlined into one generator: the kernel
-        resumes every yield through each frame of the delegation chain,
-        and chain depth is the single largest wall-clock cost of a run.
-        The yield sequence and every state mutation are identical to the
-        traced chain — the equivalence goldens and differential tests pin
+        ``_row_insert`` / ``_clust_index_insert``, the B-tree ``search``
+        descent, ``fix_page`` and ``CoreSet.consume``) are inlined into
+        one generator; only the lock protocol (``LockManager.acquire``)
+        stays delegated.  The kernel resumes every yield through each
+        frame of the delegation chain, and chain depth is the single
+        largest wall-clock cost of a run.  The yield sequence and every
+        state mutation are identical to the traced chain, ``branch``
+        included — the equivalence goldens and differential tests pin
         the two together.
         """
         redo_bytes = 0
@@ -317,18 +317,10 @@ class MySQLEngine(Engine):
         lru = pool._lru
         backlog = worker.llu_backlog
         lockmgr = self.lockmgr
-        bookkeeping = lockmgr.bookkeeping
-        if bookkeeping:
-            objects_get = lockmgr._objects.get
-            bk_base = lockmgr.bookkeeping_base
-            bk_per_entry = lockmgr.bookkeeping_per_entry
-            scan_frac = lockmgr._scan_fraction()
-            mutex = lockmgr.lock_sys_mutex
+        acquire = lockmgr.acquire
         row_cpu = self.config.row_cpu
-        WAITING = RequestStatus.WAITING
         GRANTED = RequestStatus.GRANTED
-        DEADLOCK = RequestStatus.DEADLOCK
-        for op in spec.ops:
+        for op in ops:
             # CoreSet.consume(sample(rng)), inline.
             cost = sample(rng)
             if cost > 0:
@@ -349,33 +341,11 @@ class MySQLEngine(Engine):
                 dirty = False
             else:
                 # Updates and inserts take the record lock *before* the
-                # descent (_row_update / _row_insert): request_timed +
-                # lock_rec_lock, inline.
-                obj_id = table.lock_id(key)
-                if bookkeeping:
-                    obj = objects_get(obj_id)
-                    entries = (
-                        0 if obj is None else len(obj.granted) + len(obj.waiting)
-                    )
-                    if mutex.holder is None:
-                        mutex.holder = sim.current
-                        mutex.total_acquisitions += 1
-                    else:
-                        yield from mutex.acquire()
-                    bk_cost = bk_base + bk_per_entry * entries * scan_frac
-                    lockmgr.bookkeeping_time += bk_cost
-                    yield bk_cost
-                    mutex.release()
-                request = lockmgr.request(ctx, obj_id, LockMode.X)
-                status = request.status
-                if status is WAITING:
-                    yield from lockmgr.wait(request)
-                    status = request.status
+                # descent (_row_update / _row_insert).
+                status = yield from acquire(ctx, table.lock_id(key), LockMode.X)
                 if status is not GRANTED:
-                    ctx.abort_reason = (
-                        "deadlock" if status is DEADLOCK else "timeout"
-                    )
-                    yield from self.lockmgr.release_all_timed(ctx)
+                    if branch is None:
+                        yield from lockmgr.release_all_timed(ctx)
                     return False
                 dirty = True
                 if kind != "update":
@@ -429,35 +399,12 @@ class MySQLEngine(Engine):
             if kind == "select":
                 yield row_cpu
                 if op.lock is not None:
-                    # sel_set_rec_lock -> lock_rec_lock, inline.
+                    # sel_set_rec_lock -> lock_rec_lock.
                     mode = LockMode.X if op.lock == "X" else LockMode.S
-                    obj_id = table.lock_id(key)
-                    if bookkeeping:
-                        obj = objects_get(obj_id)
-                        entries = (
-                            0
-                            if obj is None
-                            else len(obj.granted) + len(obj.waiting)
-                        )
-                        if mutex.holder is None:
-                            mutex.holder = sim.current
-                            mutex.total_acquisitions += 1
-                        else:
-                            yield from mutex.acquire()
-                        bk_cost = bk_base + bk_per_entry * entries * scan_frac
-                        lockmgr.bookkeeping_time += bk_cost
-                        yield bk_cost
-                        mutex.release()
-                    request = lockmgr.request(ctx, obj_id, mode)
-                    status = request.status
-                    if status is WAITING:
-                        yield from lockmgr.wait(request)
-                        status = request.status
+                    status = yield from acquire(ctx, table.lock_id(key), mode)
                     if status is not GRANTED:
-                        ctx.abort_reason = (
-                            "deadlock" if status is DEADLOCK else "timeout"
-                        )
-                        yield from self.lockmgr.release_all_timed(ctx)
+                        if branch is None:
+                            yield from lockmgr.release_all_timed(ctx)
                         return False
             elif kind == "update":
                 yield row_cpu
@@ -473,6 +420,9 @@ class MySQLEngine(Engine):
             redo_bytes += table.redo_bytes(kind)
             if check.enabled:
                 check.record_op(ctx, op, op.lock is not None)
+        if branch is not None:
+            branch.redo_bytes = redo_bytes
+            return True
         # innobase_commit (_commit), inline.
         yield self.config.commit_cpu
         if redo_bytes:
@@ -480,13 +430,14 @@ class MySQLEngine(Engine):
         repl = self.replication
         if repl is not None and redo_bytes:
             yield from repl.commit_barrier(ctx, redo_bytes)
-        yield from self.lockmgr.release_all_timed(ctx)
+        yield from lockmgr.release_all_timed(ctx)
         return True
 
     # -- statement implementations --------------------------------------
 
     def _row_search(self, worker, ctx, op, table):
-        yield from self.tracer.traced(
+        traced = self.tracer.traced
+        yield from traced(
             ctx,
             "btr_cur_search_to_nth_level",
             table.index.search(
@@ -494,29 +445,21 @@ class MySQLEngine(Engine):
             ),
         )
         yield self.config.row_cpu
-        if op.lock is not None:
-            ok = yield from self.tracer.traced(
-                ctx, "sel_set_rec_lock", self._sel_set_rec_lock(ctx, op, table)
-            )
-            return ok
-        return True
-
-    def _sel_set_rec_lock(self, ctx, op, table):
+        if op.lock is None:
+            return True
         mode = LockMode.X if op.lock == "X" else LockMode.S
-        ok = yield from self.tracer.traced(
+        status = yield from traced(
             ctx,
-            "lock_rec_lock",
+            "sel_set_rec_lock",
             self._lock_rec_lock(ctx, table.lock_id(op.key), mode, "A"),
         )
-        return ok
+        return status is RequestStatus.GRANTED
 
     def _row_update(self, worker, ctx, op, table):
-        ok = yield from self.tracer.traced(
-            ctx,
-            "lock_rec_lock",
-            self._lock_rec_lock(ctx, table.lock_id(op.key), LockMode.X, "B"),
+        status = yield from self._lock_rec_lock(
+            ctx, table.lock_id(op.key), LockMode.X, "B"
         )
-        if not ok:
+        if status is not RequestStatus.GRANTED:
             return False
         yield from self.tracer.traced(
             ctx,
@@ -529,12 +472,10 @@ class MySQLEngine(Engine):
         return True
 
     def _row_insert(self, worker, ctx, op, table):
-        ok = yield from self.tracer.traced(
-            ctx,
-            "lock_rec_lock",
-            self._lock_rec_lock(ctx, table.lock_id(op.key), LockMode.X, "B"),
+        status = yield from self._lock_rec_lock(
+            ctx, table.lock_id(op.key), LockMode.X, "B"
         )
-        if not ok:
+        if status is not RequestStatus.GRANTED:
             return False
         table.inserts += 1
         yield from self.tracer.traced(
@@ -555,25 +496,22 @@ class MySQLEngine(Engine):
         yield from table.index.insert_body(self.rng)
 
     def _lock_rec_lock(self, ctx, obj_id, mode, site):
-        """Generator: take a record lock; False means abort this attempt."""
-        request = yield from self.lockmgr.request_timed(ctx, obj_id, mode)
-        if request.status is RequestStatus.WAITING:
-            yield from self.tracer.traced(
-                ctx,
-                "lock_wait_suspend_thread",
-                self._lock_wait_suspend(ctx, request, site),
-                site=site,
-            )
-        if request.status is RequestStatus.GRANTED:
-            return True
-        ctx.abort_reason = (
-            "deadlock" if request.status is RequestStatus.DEADLOCK else "timeout"
-        )
-        return False
+        """Generator: ``lock_rec_lock``; evaluates to the final status.
 
-    def _lock_wait_suspend(self, ctx, request, site):
-        yield from self.tracer.traced(
-            ctx, "os_event_wait", self.lockmgr.wait(request), site=site
+        The lock protocol of ``LockManager.acquire``, suspending through
+        ``lock_wait_suspend_thread`` -> ``os_event_wait`` labelled with
+        ``site`` (the paper's [A] for selects, [B] for updates/inserts).
+        """
+        traced = self.tracer.traced
+        lockmgr = self.lockmgr
+
+        def suspend(request):
+            return traced(ctx, "lock_wait_suspend_thread", traced(
+                ctx, "os_event_wait", lockmgr.wait(request), site=site,
+            ), site=site)
+
+        return traced(
+            ctx, "lock_rec_lock", lockmgr.acquire(ctx, obj_id, mode, suspend)
         )
 
     # -- commit ----------------------------------------------------------
@@ -594,38 +532,16 @@ class MySQLEngine(Engine):
     XA_RECORD_BYTES = 64
 
     def _branch_execute(self, worker, ctx, branch):
-        """One participant slice: the statement bodies of
-        ``_mysql_execute``, minus commit and minus lock release — locks
-        stay held until the global decision arrives."""
-        redo_bytes = 0
-        consume = self.cpu.consume
-        sample = self._stmt_cpu_dist.sample
-        rng = self.rng
-        catalog = self.catalog
-        traced = self.tracer.traced
-        check = self.check
-        for op in branch.spec.ops:
-            yield from consume(sample(rng))
-            table = catalog[op.table]
-            if op.kind == "select":
-                ok = yield from traced(
-                    ctx, "row_search_for_mysql", self._row_search(worker, ctx, op, table)
-                )
-            elif op.kind == "update":
-                ok = yield from traced(
-                    ctx, "row_upd_step", self._row_update(worker, ctx, op, table)
-                )
-            else:
-                ok = yield from traced(
-                    ctx, "row_ins", self._row_insert(worker, ctx, op, table)
-                )
-            if not ok:
-                return False
-            redo_bytes += table.redo_bytes(op.kind)
-            if check.enabled:
-                check.record_op(ctx, op, op.lock is not None)
-        branch.redo_bytes = redo_bytes
-        return True
+        """One participant slice (returns a generator), gated as ``_attempt``.
+
+        The attempt's statement bodies with ``branch`` set: no commit
+        and no lock release — locks stay held until the global decision
+        arrives.  The traced body runs outside the ``do_command`` frames,
+        so a branch's statement frames keep their ``<root>`` site.
+        """
+        if not self.tracer.engine_probed:
+            return self._mysql_execute_fast(worker, ctx, branch.spec.ops, branch)
+        return self._mysql_execute(worker, ctx, branch.spec.ops, branch)
 
     def _branch_prepare(self, ctx, branch):
         # XA PREPARE: the branch's redo plus a prepare record must be on

@@ -156,8 +156,10 @@ class PostgresEngine(Engine):
     # ------------------------------------------------------------------
 
     def _attempt(self, worker, ctx, spec):
-        """One attempt; retries run in the base engine's loop.
+        """One attempt (returns a generator); retries run in the base loop.
 
+        The engine has one flat and one traced statement body, and each
+        serves both attempts and 2PC branches (``_branch_execute``).
         Unless a function of ``postgres_callgraph()`` is instrumented,
         every ``tracer.traced`` call in the delegation chain below is a
         passthrough, so the whole chain can run in one generator frame:
@@ -169,26 +171,23 @@ class PostgresEngine(Engine):
         fast-vs-traced digest tests pin this byte for byte).
         """
         if not self.tracer.engine_probed:
-            return self._postgres_execute_fast(ctx, spec)
-        return self._traced_attempt(worker, ctx, spec)
+            return self._postgres_execute_fast(ctx, spec.ops)
+        traced = self.tracer.traced
+        return traced(ctx, "exec_simple_query", traced(
+            ctx, "PortalRun", self._portal_run(ctx, spec.ops),
+        ))
 
-    def _traced_attempt(self, worker, ctx, spec):
-        """Generator: the instrumented ``exec_simple_query`` chain."""
-        ok = yield from self.tracer.traced(
-            ctx, "exec_simple_query", self._exec_query(ctx, spec)
-        )
-        return ok
-
-    def _postgres_execute_fast(self, ctx, spec):
+    def _postgres_execute_fast(self, ctx, ops, branch=None):
         """The uninstrumented statement loop in a single generator frame.
 
-        Flattens ``_exec_query -> _portal_run -> _executor_run`` /
+        Flattens ``_portal_run -> _executor_run`` /
         ``_commit_transaction`` with all ``tracer.traced`` passthroughs
-        removed.  Yield sequence, RNG draw order and lock-manager calls
-        are identical to the traced chain; only Python-level frame and
-        call overhead differs.  WAL commit and the replication barrier
-        stay as ``yield from`` — they are shared subsystems with their
-        own internal state, not per-statement overhead.
+        removed, ``branch`` handled as there.  Yield sequence, RNG draw
+        order and lock-manager calls are identical to the traced chain;
+        only Python-level frame and call overhead differs.  The lock
+        protocol, WAL commit and the replication barrier stay as ``yield
+        from`` — they are shared subsystems with their own internal
+        state, not per-statement overhead.
         """
         config = self.config
         statement_cpu = config.statement_cpu
@@ -197,17 +196,15 @@ class PostgresEngine(Engine):
         rng = self.rng
         tables = self.catalog._tables
         lockmgr = self.lockmgr
-        lock_request = lockmgr.request
+        acquire = lockmgr.acquire
         check = self.check
         mode_s = LockMode.S
         mode_x = LockMode.X
-        waiting = RequestStatus.WAITING
         granted = RequestStatus.GRANTED
-        deadlock = RequestStatus.DEADLOCK
 
         predicate_locks = 0
         redo_bytes = 0
-        for op in spec.ops:
+        for op in ops:
             table = tables[op.table]
             # _executor_run: per-statement CPU then the index descent.
             yield statement_cpu
@@ -219,22 +216,20 @@ class PostgresEngine(Engine):
                 predicate_locks += 1
                 yield predicate_lock_cpu
             if lock is not None or kind in ("update", "insert"):
-                request = lock_request(
+                status = yield from acquire(
                     ctx, table.lock_id(op.key), mode_s if lock == "S" else mode_x
                 )
-                status = request.status
-                if status is waiting:
-                    yield from lockmgr.wait(request)
-                    status = request.status
                 if status is not granted:
-                    ctx.abort_reason = (
-                        "deadlock" if status is deadlock else "timeout"
-                    )
-                    lockmgr.release_all(ctx)
+                    if branch is None:
+                        lockmgr.release_all(ctx)
                     return False
             redo_bytes += table.redo_bytes(kind)
             if check.enabled:
                 check.record_op(ctx, op, lock is not None)
+        if branch is not None:
+            branch.redo_bytes = redo_bytes
+            branch.predicate_locks = predicate_locks
+            return True
         # _commit_transaction, inlined.
         yield config.commit_cpu
         if redo_bytes:
@@ -252,28 +247,35 @@ class PostgresEngine(Engine):
         lockmgr.release_all(ctx)
         return True
 
-    def _exec_query(self, ctx, spec):
-        ok = yield from self.tracer.traced(
-            ctx, "PortalRun", self._portal_run(ctx, spec)
-        )
-        return ok
+    def _portal_run(self, ctx, ops, branch=None):
+        """Generator: the traced statement loop; True on success.
 
-    def _portal_run(self, ctx, spec):
+        An attempt commits and releases its locks, or releases them on
+        abort.  With a ``branch`` the loop stops after the statements,
+        stores the redo bytes and predicate-lock count on the branch and
+        releases nothing: locks stay held until the global decision
+        (``Engine._run_branch``).
+        """
         predicate_locks = 0
         redo_bytes = 0
         check = self.check
-        for op in spec.ops:
+        for op in ops:
             table = self.catalog[op.table]
             ok, locks = yield from self.tracer.traced(
                 ctx, "ExecutorRun", self._executor_run(ctx, op, table)
             )
             if not ok:
-                self.lockmgr.release_all(ctx)
+                if branch is None:
+                    self.lockmgr.release_all(ctx)
                 return False
             predicate_locks += locks
             redo_bytes += table.redo_bytes(op.kind)
             if check.enabled:
                 check.record_op(ctx, op, op.lock is not None)
+        if branch is not None:
+            branch.redo_bytes = redo_bytes
+            branch.predicate_locks = predicate_locks
+            return True
         yield from self.tracer.traced(
             ctx,
             "CommitTransaction",
@@ -290,21 +292,22 @@ class PostgresEngine(Engine):
 
     def _executor_run(self, ctx, op, table):
         """Generator: one statement.  Evaluates to (ok, predicate_locks)."""
+        traced = self.tracer.traced
         yield self.config.statement_cpu
-        yield from self.tracer.traced(ctx, "index_fetch", self._index_fetch())
+        yield from traced(ctx, "index_fetch", self._index_fetch())
         locks = 0
         if op.kind == "select":
             # Serializable reads register SIREAD predicate locks.
             locks = 1
-            yield from self.tracer.traced(
-                ctx, "PredicateLockTuple", self._predicate_lock()
-            )
+            yield from traced(ctx, "PredicateLockTuple", self._predicate_lock())
         if op.lock is not None or op.kind in ("update", "insert"):
             mode = LockMode.S if op.lock == "S" else LockMode.X
-            ok = yield from self.tracer.traced(
-                ctx, "heap_lock_tuple", self._heap_lock_tuple(ctx, op, table, mode)
-            )
-            if not ok:
+            status = yield from traced(ctx, "heap_lock_tuple", traced(
+                ctx, "LockAcquireExtended", self.lockmgr.acquire(
+                    ctx, table.lock_id(op.key), mode, self._proc_sleep,
+                ),
+            ))
+            if status is not RequestStatus.GRANTED:
                 return False, locks
         return True, locks
 
@@ -314,48 +317,29 @@ class PostgresEngine(Engine):
     def _predicate_lock(self):
         yield self.config.predicate_lock_cpu
 
-    def _heap_lock_tuple(self, ctx, op, table, mode):
-        ok = yield from self.tracer.traced(
-            ctx, "LockAcquireExtended", self._lock_acquire(ctx, table.lock_id(op.key), mode)
+    def _proc_sleep(self, request):
+        """The lock protocol's wait hook: suspend inside ``ProcSleep``."""
+        return self.tracer.traced(
+            request.txn, "ProcSleep", self.lockmgr.wait(request)
         )
-        return ok
-
-    def _lock_acquire(self, ctx, obj_id, mode):
-        request = self.lockmgr.request(ctx, obj_id, mode)
-        if request.status is RequestStatus.WAITING:
-            yield from self.tracer.traced(
-                ctx, "ProcSleep", self.lockmgr.wait(request)
-            )
-        if request.status is RequestStatus.GRANTED:
-            return True
-        ctx.abort_reason = (
-            "deadlock" if request.status is RequestStatus.DEADLOCK else "timeout"
-        )
-        return False
 
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
 
     def _commit_transaction(self, ctx, redo_bytes, predicate_locks):
+        traced = self.tracer.traced
         yield self.config.commit_cpu
         if redo_bytes:
             # Read-only transactions write no commit record and never
             # touch the WALWriteLock.
-            yield from self.tracer.traced(
-                ctx,
-                "RecordTransactionCommit",
-                self._record_commit(ctx, redo_bytes),
-            )
-        yield from self.tracer.traced(
+            yield from traced(ctx, "RecordTransactionCommit", traced(
+                ctx, "XLogFlush", self.wal.commit(ctx, redo_bytes),
+            ))
+        yield from traced(
             ctx,
             "ReleasePredicateLocks",
             self._release_predicate_locks(predicate_locks),
-        )
-
-    def _record_commit(self, ctx, redo_bytes):
-        yield from self.tracer.traced(
-            ctx, "XLogFlush", self.wal.commit(ctx, redo_bytes)
         )
 
     def _release_predicate_locks(self, count):
@@ -375,25 +359,16 @@ class PostgresEngine(Engine):
     TWOPHASE_RECORD_BYTES = 64
 
     def _branch_execute(self, worker, ctx, branch):
-        """One participant slice: ``_portal_run``'s statement loop minus
-        commit and minus lock release."""
-        predicate_locks = 0
-        redo_bytes = 0
-        check = self.check
-        for op in branch.spec.ops:
-            table = self.catalog[op.table]
-            ok, locks = yield from self.tracer.traced(
-                ctx, "ExecutorRun", self._executor_run(ctx, op, table)
-            )
-            if not ok:
-                return False
-            predicate_locks += locks
-            redo_bytes += table.redo_bytes(op.kind)
-            if check.enabled:
-                check.record_op(ctx, op, op.lock is not None)
-        branch.redo_bytes = redo_bytes
-        branch.predicate_locks = predicate_locks
-        return True
+        """One participant slice (returns a generator), gated as ``_attempt``.
+
+        The attempt's statement bodies with ``branch`` set: no commit
+        and no lock release.  The traced body runs outside the
+        ``exec_simple_query`` frames, so a branch's statement frames keep
+        their ``<root>`` site.
+        """
+        if not self.tracer.engine_probed:
+            return self._postgres_execute_fast(ctx, branch.spec.ops, branch)
+        return self._portal_run(ctx, branch.spec.ops, branch)
 
     def _branch_prepare(self, ctx, branch):
         # PREPARE TRANSACTION: flush the branch's WAL plus the two-phase

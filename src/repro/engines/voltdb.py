@@ -101,49 +101,22 @@ class VoltDBEngine(Engine):
             self._service_dists[n_ops] = dist
         return dist
 
-    def _service_time(self, spec):
-        return self._service_dist(len(spec.ops)).sample(self.rng)
-
     def _execute(self, worker, ctx, spec):
-        """One stored-procedure invocation; retries never happen here.
+        """Generator: one stored-procedure invocation; never retried.
 
-        Unless a function of ``voltdb_callgraph()`` is instrumented,
-        every ``tracer.record`` call in the traced body is a no-op, so
-        the partition-serial execution can run in ``_voltdb_execute_fast``
-        — same yields, same RNG draws, same bookkeeping, minus the dead
-        record calls and key tuples.  Recovery's subsystem frames are
-        recorded outside this body and never close the gate.
+        The engine's one body.  Its trace records run only while a
+        function of ``voltdb_callgraph()`` is instrumented
+        (``tracer.engine_probed``): otherwise every ``tracer.record``
+        would be a no-op, so the key tuples and calls are skipped.
+        Recovery's subsystem frames are recorded outside this body and
+        never open the gate.
         """
-        if not self.tracer.engine_probed:
-            return self._voltdb_execute_fast(worker, ctx, spec)
-        return self._voltdb_execute_traced(worker, ctx, spec)
-
-    def _voltdb_execute_fast(self, worker, ctx, spec):
-        """The uninstrumented invocation in a single generator frame."""
-        queue_wait = self.sim.now - ctx.birth
-        self.queue_waits.append(queue_wait)
-        self._t_queue_wait.observe(queue_wait)
-        ctx.begin_interval()
-        service = self._service_dist(len(spec.ops)).sample(self.rng)
-        init_time = service * self.config.init_fraction
-        yield init_time
-        yield service - init_time
-        ctx.end_interval()
-        check = self.check
-        if check.enabled:
-            check.begin_attempt(ctx)
-            for op in spec.ops:
-                check.record_op(ctx, op, False)
-        self.tracer.end_transaction(ctx, committed=True)
-        self.observe_txn(ctx, committed=True)
-
-    def _voltdb_execute_traced(self, worker, ctx, spec):
         tracer = self.tracer
         queue_wait = self.sim.now - ctx.birth
         self.queue_waits.append(queue_wait)
         self._t_queue_wait.observe(queue_wait)
         ctx.begin_interval()
-        service = self._service_time(spec)
+        service = self._service_dist(len(spec.ops)).sample(self.rng)
         init_time = service * self.config.init_fraction
         run_time = service - init_time
         yield init_time
@@ -158,23 +131,24 @@ class VoltDBEngine(Engine):
             check.begin_attempt(ctx)
             for op in spec.ops:
                 check.record_op(ctx, op, False)
-        root_key = ("transaction", "<root>")
-        proc_key = ("execute_procedure", "transaction")
-        tracer.record(ctx, QUEUE_WAIT, queue_wait, parent=root_key)
-        tracer.record(
-            ctx, "execute_procedure", service, site="transaction", parent=root_key
-        )
-        tracer.record(
-            ctx, "init_procedure", init_time, site="execute_procedure", parent=proc_key
-        )
-        tracer.record(
-            ctx,
-            "run_plan_fragments",
-            run_time,
-            site="execute_procedure",
-            parent=proc_key,
-        )
-        tracer.record(ctx, "transaction", self.sim.now - ctx.birth)
+        if tracer.engine_probed:
+            root_key = ("transaction", "<root>")
+            proc_key = ("execute_procedure", "transaction")
+            tracer.record(ctx, QUEUE_WAIT, queue_wait, parent=root_key)
+            tracer.record(
+                ctx, "execute_procedure", service, site="transaction", parent=root_key
+            )
+            tracer.record(
+                ctx, "init_procedure", init_time, site="execute_procedure", parent=proc_key
+            )
+            tracer.record(
+                ctx,
+                "run_plan_fragments",
+                run_time,
+                site="execute_procedure",
+                parent=proc_key,
+            )
+            tracer.record(ctx, "transaction", self.sim.now - ctx.birth)
         tracer.end_transaction(ctx, committed=True)
         self.observe_txn(ctx, committed=True)
 

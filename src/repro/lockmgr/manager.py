@@ -2,18 +2,22 @@
 
 Lifecycle of a lock request::
 
-    request = manager.request(ctx, obj_id, mode)
-    if request.status is RequestStatus.WAITING:
-        result = yield from manager.wait(request)   # engine wraps this in
-                                                    # its traced wait fns
+    status = yield from manager.acquire(ctx, obj_id, mode, wait=None)
+    if status is not RequestStatus.GRANTED:
+        ...                    # ctx.abort_reason is "deadlock" or "timeout"
     ...
-    manager.release_all(ctx)                        # at commit/abort
+    manager.release_all(ctx)   # at commit/abort (release_all_timed when
+                               # the lock_sys bookkeeping is modelled)
 
-The split between :meth:`LockManager.request` (instantaneous decision)
-and :meth:`LockManager.wait` (the suspension) exists so engines can wrap
-the wait in their own traced functions — MySQL's
-``lock_wait_suspend_thread`` / ``os_event_wait``, which is how TProfiler
-sees lock-wait variance where the paper saw it.
+:meth:`LockManager.acquire` is the whole protocol, in one place: charge
+the lock_sys bookkeeping (when modelled), make the instantaneous
+decision (:meth:`LockManager.request`), suspend only while the request
+is WAITING (:meth:`LockManager.wait`), and name the abort from the
+final status.  The optional ``wait`` hook replaces the bare suspension
+so engines can wrap it in their own traced functions — MySQL's
+``lock_wait_suspend_thread`` / ``os_event_wait``, Postgres's
+``ProcSleep`` — which is how TProfiler sees lock-wait variance where
+the paper saw it.
 
 Grant discipline: on every release/cancel, the grant pass walks the wait
 queue in the scheduler's order and grants each request that does not
@@ -292,70 +296,58 @@ class LockManager:
 
         Serialised on the global lock_sys mutex; with head placement the
         wanted struct is found early, shortening the effective scan.
+        Callers check ``bookkeeping`` first.  The uncontended mutex
+        acquire is flattened: this runs once per lock request and
+        release, and a delegated frame costs real wall time.
         """
-        if not self.bookkeeping:
-            return
         cost = (
             self.bookkeeping_base
             + self.bookkeeping_per_entry * entries * self._scan_fraction()
         )
-        yield from self.lock_sys_mutex.acquire()
+        mutex = self.lock_sys_mutex
+        if mutex.holder is None:
+            mutex.holder = self.sim.current
+            mutex.total_acquisitions += 1
+        else:
+            yield from mutex.acquire()
         self.bookkeeping_time += cost
         yield cost
-        self.lock_sys_mutex.release()
+        mutex.release()
 
     def request_timed(self, ctx, obj_id, mode):
-        """Generator: :meth:`request` preceded by its bookkeeping cost.
-
-        ``charge_bookkeeping`` is inlined here (with the uncontended
-        mutex-acquire fast path flattened) — this runs once per lock
-        request, and the two extra generator frames cost real wall time.
-        """
+        """Generator: :meth:`request` preceded by its bookkeeping cost."""
         if self.bookkeeping:
-            obj = self._objects.get(obj_id)
-            entries = 0 if obj is None else len(obj.granted) + len(obj.waiting)
-            cost = (
-                self.bookkeeping_base
-                + self.bookkeeping_per_entry * entries * self._scan_fraction()
-            )
-            mutex = self.lock_sys_mutex
-            if mutex.holder is None:
-                mutex.holder = self.sim.current
-                mutex.total_acquisitions += 1
-            else:
-                yield from mutex.acquire()
-            self.bookkeeping_time += cost
-            yield cost
-            mutex.release()
+            yield from self.charge_bookkeeping(self._scan_entries(obj_id))
         return self.request(ctx, obj_id, mode)
 
     def release_all_timed(self, ctx):
         """Generator: :meth:`release_all` preceded by its bookkeeping cost."""
         held = self._held.get(ctx, {})
         if self.bookkeeping and held:
-            entries = sum(self._scan_entries(obj_id) for obj_id in held)
-            cost = (
-                self.bookkeeping_base
-                + self.bookkeeping_per_entry * entries * self._scan_fraction()
+            yield from self.charge_bookkeeping(
+                sum(self._scan_entries(obj_id) for obj_id in held)
             )
-            mutex = self.lock_sys_mutex
-            if mutex.holder is None:
-                mutex.holder = self.sim.current
-                mutex.total_acquisitions += 1
-            else:
-                yield from mutex.acquire()
-            self.bookkeeping_time += cost
-            yield cost
-            mutex.release()
         self.release_all(ctx)
 
-    def acquire(self, ctx, obj_id, mode):
-        """Generator convenience: request + wait; evaluates to the status."""
+    def acquire(self, ctx, obj_id, mode, wait=None):
+        """Generator: the lock-acquire protocol; evaluates to the status.
+
+        Charges the bookkeeping (when modelled), makes the
+        :meth:`request`, and suspends only while it is WAITING — through
+        ``wait(request)`` when the caller supplies one, else
+        :meth:`wait`.  Unless the lock ends GRANTED, ``ctx.abort_reason``
+        names the final status (``"deadlock"`` or ``"timeout"``).
+        """
+        if self.bookkeeping:
+            yield from self.charge_bookkeeping(self._scan_entries(obj_id))
         request = self.request(ctx, obj_id, mode)
-        if request.status is RequestStatus.WAITING:
-            status = yield from self.wait(request)
-            return status
-        return request.status
+        status = request.status
+        if status is RequestStatus.WAITING:
+            yield from (self.wait(request) if wait is None else wait(request))
+            status = request.status
+        if status is not RequestStatus.GRANTED:
+            ctx.abort_reason = status.value
+        return status
 
     def release_all(self, ctx):
         """Release every lock held by ``ctx`` (2PL shrink at commit/abort).

@@ -1,19 +1,25 @@
-"""Differential testing: engine fast paths vs the traced statement loops.
+"""Differential testing: engine flat statement bodies vs the traced chains.
 
-Every engine carries two execution paths for one transaction body: the
-flattened single-frame fast generator (``*_execute_fast``), used unless a
-function of the engine's call graph is instrumented, and the traced
-delegation chain through :meth:`Tracer.traced`.  Hypothesis generates
-random programs — benchmark, seed, arrival rate, worker count and the
-run mode (shards, replicas and their mode, a node crash, the history
-recorder) — and runs each one twice: once uninstrumented (fast path) and
-once with every function of the engine's call graph instrumented at
-``probe_cost=0`` (traced path).  Zero-cost probes may not change
-anything observable, so the full run digests — latency sequence, final
-clock, metrics snapshot, abort/fault counts — must be byte-identical,
-and so must the oracle reports.  Each pair also counts the calls to the
-fast generator: the untraced run must take it and the probed run must
-not, or a gate that silently closed would compare traced with traced.
+MySQL and Postgres each carry one flat statement body (``*_execute_fast``,
+a single generator frame, used unless a function of the engine's call
+graph is instrumented) and one traced delegation chain through
+:meth:`Tracer.traced`; each body serves both single-node attempts and 2PC
+participant branches.  VoltDB has one body, ``_execute``, whose trace
+records run only while it is probed.  Hypothesis generates random
+programs — benchmark, seed, arrival rate, worker count and the run mode
+(shards, replicas and their mode, a node crash, the history recorder) —
+and runs each one twice: once uninstrumented and once with every
+function of the engine's call graph instrumented at ``probe_cost=0``.
+Zero-cost probes may not change anything observable, so the full run
+digests — latency sequence, final clock, metrics snapshot, abort/fault
+counts — must be byte-identical, and so must the oracle reports.
+
+Each pair also checks that the two runs really took different bodies,
+or a gate that silently closed would compare traced with traced: the
+untraced run must call the flat body, for every branch it executed too,
+and the probed run must not; VoltDB's probed run must carry
+``execute_procedure`` durations and its untraced run none.  Two-shard
+programs run TPC-C with cross-shard Payments, so 2PC rounds happen.
 
 The gate is exact only if nothing an engine records bypasses its call
 graph: the last test pins that every name traced or recorded in a
@@ -33,6 +39,7 @@ from repro.bench.digest import run_digest
 from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.cluster.coordinator import DIST_FRAMES
 from repro.core.tracing import Tracer
+from repro.engines.base import Branch
 from repro.engines.mysql import MySQLConfig, MySQLEngine, mysql_callgraph
 from repro.engines.postgres import (
     PostgresConfig,
@@ -44,7 +51,8 @@ from repro.faults.plan import FaultPlan
 from repro.recovery import RECOVERY_FRAMES
 from repro.replication import REPLICATION_FRAMES, ReplicationConfig
 
-#: engine -> (every function of its call graph, class, flat statement loop)
+#: engine -> (every function of its call graph, class, flat statement
+#: body; None for VoltDB, whose one body is ``_execute``)
 ENGINES = {
     "mysql": (
         frozenset(mysql_callgraph().functions), MySQLEngine,
@@ -54,10 +62,7 @@ ENGINES = {
         frozenset(postgres_callgraph().functions), PostgresEngine,
         "_postgres_execute_fast",
     ),
-    "voltdb": (
-        frozenset(voltdb_callgraph().functions), VoltDBEngine,
-        "_voltdb_execute_fast",
-    ),
+    "voltdb": (frozenset(voltdb_callgraph().functions), VoltDBEngine, None),
 }
 SUBSYSTEM_FRAMES = frozenset(DIST_FRAMES + REPLICATION_FRAMES + RECOVERY_FRAMES)
 
@@ -89,6 +94,9 @@ _cluster_modes = dict(
 def _config(engine, engine_config, workload, seed, n_txns, rate, crash,
             check, num_shards=1, replicas=0, mode=None):
     name, kwargs = workload
+    if num_shards > 1:
+        # Cross-shard Payments, so 2PC branches run through both bodies.
+        name, kwargs = "tpcc", {"warehouses": 2, "remote_payment_prob": 0.3}
     fault_plan = None
     if crash is not None:
         crash_at = crash * n_txns / rate * 1_000_000.0
@@ -111,23 +119,55 @@ def _config(engine, engine_config, workload, seed, n_txns, rate, crash,
 
 
 def _assert_fast_matches_traced(config):
-    probes, engine_cls, fast_name = ENGINES[config.engine]
-    original = getattr(engine_cls, fast_name)
-    calls = [0]
+    probes, engine_cls, flat_name = ENGINES[config.engine]
+    if flat_name is None:
+        _assert_one_body_matches_probed(config, probes)
+        return
+    flat, branch_execute = getattr(engine_cls, flat_name), engine_cls._branch_execute
+    calls = {"flat": 0, "flat_branch": 0, "branch": 0}
 
-    def counted(self, *args):
-        calls[0] += 1
-        return original(self, *args)
+    def counted_flat(self, *args):
+        calls["flat_branch" if isinstance(args[-1], Branch) else "flat"] += 1
+        return flat(self, *args)
+
+    def counted_branch(self, *args):
+        calls["branch"] += 1
+        return branch_execute(self, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine_cls, fast_name, counted)
+        mp.setattr(engine_cls, flat_name, counted_flat)
+        mp.setattr(engine_cls, "_branch_execute", counted_branch)
         fast = run_experiment(config)
-        fast_calls = calls[0]
+        untraced = dict(calls)
         traced = run_experiment(
             config.replaced(instrumented=probes, probe_cost=0.0)
         )
-    assert fast_calls > 0, "the untraced run never took %s" % fast_name
-    assert calls[0] == fast_calls, "the probed run took %s" % fast_name
+    assert untraced["flat"] > 0, "the untraced run never took %s" % flat_name
+    assert untraced["flat_branch"] == untraced["branch"], (
+        "the untraced run ran a 2PC branch outside %s" % flat_name
+    )
+    assert calls["flat"] == untraced["flat"], "the probed run took %s" % flat_name
+    assert calls["flat_branch"] == untraced["flat_branch"], (
+        "the probed run ran a 2PC branch through %s" % flat_name
+    )
+    assert run_digest(fast) == run_digest(traced)
+    assert fast.check_report() == traced.check_report()
+
+
+def _execute_procedure_traced(result):
+    return any(
+        name == "execute_procedure"
+        for trace in result.traces
+        for name, _site in trace.durations
+    )
+
+
+def _assert_one_body_matches_probed(config, probes):
+    """VoltDB: its one body records only while probed."""
+    fast = run_experiment(config)
+    traced = run_experiment(config.replaced(instrumented=probes, probe_cost=0.0))
+    assert not _execute_procedure_traced(fast), "the untraced run recorded"
+    assert _execute_procedure_traced(traced), "the probed run never recorded"
     assert run_digest(fast) == run_digest(traced)
     assert fast.check_report() == traced.check_report()
 

@@ -384,8 +384,10 @@ class TestBookkeeping:
 
         sim.spawn(proc())
         sim.run()
-        assert lm.bookkeeping_time > 0
-        assert sim.now >= 2.0  # request scan + release scan
+        # 1.0 for the request scan of an empty table, 1.0 + 0.5 for the
+        # release scan over its one granted entry.
+        assert lm.bookkeeping_time == 2.5
+        assert sim.now == 2.5
 
     def test_head_placement_shortens_scans(self, sim):
         fcfs = LockManager(sim, FCFSScheduler(), bookkeeping=True)
@@ -405,6 +407,128 @@ class TestBookkeeping:
         sim.run()
         assert sim.now == 0.0
         assert lm.bookkeeping_time == 0.0
+
+
+class TestAcquireProtocol:
+    """``LockManager.acquire``: bookkeeping, request, wait, abort reason."""
+
+    @staticmethod
+    def counting_hook(lm, calls):
+        def wait(request):
+            calls.append(request)
+            return lm.wait(request)
+
+        return wait
+
+    def test_immediate_grant_neither_suspends_nor_calls_the_hook(self, sim):
+        lm = LockManager(sim, FCFSScheduler())
+        ctx = ctx_at(sim, 1, 0.0)
+        calls = []
+        protocol = lm.acquire(ctx, "obj", LockMode.X, self.counting_hook(lm, calls))
+        with pytest.raises(StopIteration) as done:
+            next(protocol)  # runs to completion without one yield
+        assert done.value.value is RequestStatus.GRANTED
+        assert calls == []
+        assert ctx.abort_reason is None
+
+    def test_contended_request_suspends_through_the_hook_once(self, sim):
+        lm = LockManager(sim, FCFSScheduler())
+        calls = []
+        outcome = []
+
+        def holder():
+            ctx = ctx_at(sim, 1, sim.now)
+            lm.request(ctx, "obj", LockMode.X)
+            yield Timeout(10.0)
+            lm.release_all(ctx)
+
+        def waiter():
+            yield Timeout(1.0)
+            ctx = ctx_at(sim, 2, sim.now)
+            status = yield from lm.acquire(
+                ctx, "obj", LockMode.X, self.counting_hook(lm, calls)
+            )
+            outcome.append((status, sim.now, ctx.abort_reason))
+
+        sim.spawn(holder())
+        sim.spawn(waiter())
+        sim.run()
+        assert outcome == [(RequestStatus.GRANTED, 10.0, None)]
+        assert len(calls) == 1
+
+    def test_deadlock_victim_ends_not_granted(self, sim):
+        lm = LockManager(sim, FCFSScheduler())
+        outcomes = {}
+
+        def txn(tid, first, second, delay):
+            yield Timeout(delay)
+            ctx = ctx_at(sim, tid, sim.now)
+            yield from lm.acquire(ctx, first, LockMode.X)
+            yield Timeout(5.0)
+            status = yield from lm.acquire(ctx, second, LockMode.X)
+            outcomes[tid] = (status, ctx.abort_reason)
+            lm.release_all(ctx)
+
+        sim.spawn(txn(1, "a", "b", 0.0))
+        sim.spawn(txn(2, "b", "a", 1.0))
+        sim.run()
+        # Txn 2 closes the cycle, so it is the victim.
+        assert outcomes == {
+            1: (RequestStatus.GRANTED, None),
+            2: (RequestStatus.DEADLOCK, "deadlock"),
+        }
+
+    def test_wait_past_the_timeout_ends_not_granted(self, sim):
+        lm = LockManager(sim, FCFSScheduler(), wait_timeout=5.0)
+        outcome = []
+
+        def holder():
+            ctx = ctx_at(sim, 1, sim.now)
+            lm.request(ctx, "obj", LockMode.X)
+            yield Timeout(100.0)
+            lm.release_all(ctx)
+
+        def waiter():
+            yield Timeout(1.0)
+            ctx = ctx_at(sim, 2, sim.now)
+            status = yield from lm.acquire(ctx, "obj", LockMode.X)
+            outcome.append((status, sim.now, ctx.abort_reason))
+
+        sim.spawn(holder())
+        sim.spawn(waiter())
+        sim.run()
+        assert outcome == [(RequestStatus.TIMEOUT, 6.0, "timeout")]
+
+    def test_bookkeeping_is_charged_once_per_acquire(self, sim):
+        lm = LockManager(
+            sim,
+            FCFSScheduler(),
+            bookkeeping=True,
+            bookkeeping_base=1.0,
+            bookkeeping_per_entry=0.5,
+        )
+        outcome = []
+
+        def holder():
+            ctx = ctx_at(sim, 1, sim.now)
+            lm.request(ctx, "obj", LockMode.X)  # uncharged
+            yield Timeout(10.0)
+            lm.release_all(ctx)
+
+        def waiter():
+            yield Timeout(1.0)
+            ctx = ctx_at(sim, 2, sim.now)
+            status = yield from lm.acquire(ctx, "obj", LockMode.X)
+            outcome.append((status, sim.now))
+
+        sim.spawn(holder())
+        sim.spawn(waiter())
+        sim.run()
+        # One scan over the holder's entry (1.0 + 0.5), paid before the
+        # wait and not again after it.
+        assert outcome == [(RequestStatus.GRANTED, 10.0)]
+        assert lm.bookkeeping_time == 1.5
+        assert lm.lock_sys_mutex.total_acquisitions == 1
 
 
 class TestAccounting:
