@@ -152,8 +152,10 @@ def traced_golden_configs():
                    voltdb_callgraph()),
     }
     for engine, (base, graph) in sorted(bases.items()):
+        # "root" is TProfiler's first iteration: only the root probed.
         probe_sets = (("all", graph.functions),
-                      ("partial", PARTIAL_PROBES[engine]))
+                      ("partial", PARTIAL_PROBES[engine]),
+                      ("root", (graph.root,)))
         for label, probes in probe_sets:
             yield "%s/seed%d/%s" % (engine, SEEDS[0], label), base.replaced(
                 instrumented=frozenset(probes), probe_cost=TRACED_PROBE_COST)

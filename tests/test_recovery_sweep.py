@@ -206,12 +206,14 @@ def test_post_crash_digest_cross_process():
         "n_txns=80, rate_tps=600.0, seed=23, num_shards=2, check=True, "
         "fault_plan=plan)); "
         "print(json.dumps([run_digest(r), "
-        "sorted(r.outcome_counts.items()), r.fault_counts]))"
+        "sorted(r.outcome_counts.items()), r.fault_counts, "
+        "r.check_report()]))"
     )
     output = assert_hash_seed_invariant(code)
-    digest, outcomes, fault_counts = json.loads(output)
+    digest, outcomes, fault_counts, violations = json.loads(output)
     assert fault_counts["node_crashes"] == 2
     assert sum(count for _outcome, count in outcomes) == 80
+    assert violations == []
 
 
 def test_post_crash_digest_in_process_repeatable():

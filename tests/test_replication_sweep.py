@@ -173,8 +173,9 @@ def test_last_replica_crash_degrades_to_restart():
 
 
 def test_cross_process_hash_seed_failover_determinism():
-    """A replicated failover run must produce a byte-identical digest in
-    interpreters with different hash seeds."""
+    """A replicated failover run with a replica-lag window must produce
+    a byte-identical digest in interpreters with different hash seeds,
+    promote the replica and leave the oracles clean."""
     code = (
         "import sys, json; sys.path[:0] = json.loads(sys.argv[1]); "
         "from repro.bench.digest import run_digest; "
@@ -182,20 +183,25 @@ def test_cross_process_hash_seed_failover_determinism():
         "from repro.faults.plan import FaultPlan; "
         "from repro.replication import ReplicationConfig; "
         "config = ExperimentConfig(engine='mysql', workload='tpcc', "
-        "workload_kwargs={'warehouses': 4}, n_txns=50, rate_tps=600.0, "
+        "workload_kwargs={'warehouses': 4}, n_txns=60, rate_tps=600.0, "
         "seed=23, replicas=2, "
         "replication=ReplicationConfig(mode='semi_sync', ack_k=1, "
         "read_policy='replica_ok', staleness_bound_us=50_000.0), "
         "fault_plan=FaultPlan(name='xproc', "
-        "node_crash_times=((0, 45_000.0),)), check=True); "
+        "node_crash_times=((0, 45_000.0),), "
+        "replica_lag_windows=((0.0, 45_000.0),), "
+        "replica_lag_stall_us=1_000.0), check=True); "
         "result = run_experiment(config); "
         "print(json.dumps([run_digest(result), "
-        "sorted(result.outcome_counts.items())]))"
+        "sorted(result.outcome_counts.items()), result.check_report(), "
+        "sum(rec.kind == 'promote' for rec in result.history.repl)]))"
     )
     output = assert_hash_seed_invariant(code)
-    digest, counts = json.loads(output)
+    digest, counts, violations, promotions = json.loads(output)
     assert len(digest) == 64
-    assert sum(count for _outcome, count in counts) == 50
+    assert sum(count for _outcome, count in counts) == 60
+    assert violations == []
+    assert promotions >= 1
 
 
 def test_in_process_failover_digest_repeatable():
