@@ -16,22 +16,6 @@ import pytest
 
 from repro.bench.runner import run_experiment
 
-
-def pytest_collection_modifyitems(config, items):
-    # Wall-clock measurements (``perf_bench``) are noisy and prove
-    # nothing on a loaded machine; they run only when asked for
-    # explicitly (``-m perf_bench``), like the CI perf-smoke job does
-    # via scripts/run_perf_bench.py.
-    if config.getoption("-m"):
-        return
-    skip = pytest.mark.skip(
-        reason="wall-clock measurement; run with -m perf_bench"
-    )
-    for item in items:
-        if "perf_bench" in item.keywords:
-            item.add_marker(skip)
-
-
 _CACHE = {}
 
 

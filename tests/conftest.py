@@ -8,8 +8,7 @@ from repro.sim.rand import Streams
 
 def pytest_collection_modifyitems(config, items):
     # The 25-seed fuzz sweep is the CI check-smoke budget, not part of
-    # the default suite; run it explicitly with ``-m fuzz_smoke`` (same
-    # pattern as perf_bench in benchmarks/conftest.py).
+    # the default suite; run it explicitly with ``-m fuzz_smoke``.
     if config.getoption("-m"):
         return
     skip = pytest.mark.skip(reason="fuzz sweep; run with -m fuzz_smoke")

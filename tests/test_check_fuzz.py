@@ -13,8 +13,7 @@ Three layers, cheapest first:
   interpreter processes with different ``PYTHONHASHSEED``.
 
 The 25-seed sweep at the bottom is the CI ``check-smoke`` budget; it is
-marked ``fuzz_smoke`` and skipped in the default run (like
-``perf_bench`` in benchmarks/).
+marked ``fuzz_smoke`` and skipped in the default run.
 """
 
 import json
