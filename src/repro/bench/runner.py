@@ -339,8 +339,9 @@ def run_experiment(config, simulator_cls=None):
     """Execute one :class:`ExperimentConfig` to completion.
 
     ``simulator_cls`` swaps the event-loop implementation (default: the
-    production :class:`~repro.sim.kernel.Simulator`); the perf harness
-    uses it to time the reference kernel on identical workloads.
+    production :class:`~repro.sim.kernel.Simulator`);
+    ``tests/test_cost_counts.py`` uses it to count the reference
+    kernel's heap pushes on identical workloads.
     """
     registry = MetricsRegistry() if config.telemetry else NULL_REGISTRY
     streams = Streams(config.seed)

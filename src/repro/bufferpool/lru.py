@@ -14,11 +14,6 @@ live in :mod:`repro.bufferpool.pool`.
 
 from collections import OrderedDict
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None
-
 
 class LRUList:
     """Young/old split LRU over opaque page ids."""
@@ -64,9 +59,6 @@ class LRUList:
     def old_pages(self):
         return list(self._old)
 
-    def in_old(self, page_id):
-        return page_id in self._old
-
     # ------------------------------------------------------------------
     # Mutations (call under the pool mutex)
     # ------------------------------------------------------------------
@@ -87,104 +79,47 @@ class LRUList:
     def insert_old_many(self, page_ids):
         """Insert many new pages, exactly as ``insert_old`` one by one.
 
-        The bulk prewarm path: one call instead of tens of thousands,
-        with the per-insert rebalance inlined and its bookkeeping kept
-        in locals.  Final list state is identical to the loop of
-        ``insert_old`` calls (the equivalence goldens pin this).
+        The bulk prewarm path: from empty (the only way prewarm calls
+        it) one closed-form pass replaces tens of thousands of calls.
+        Final list state is identical to the loop of ``insert_old``
+        calls (the equivalence goldens pin this).
         """
+        if self._young or self._old or self._clock:
+            for page_id in page_ids:
+                self.insert_old(page_id)
+            return
+        # From empty, the rebalance after each insert reduces to at most
+        # one promotion of the just-inserted old head: the old sublist
+        # only ever *exceeds* its target (n_old >= target is an
+        # invariant from empty, so the demote loop is dead), and a
+        # single promotion restores n_old <= target + 1.  Hence the
+        # final young order is the promotion (= insertion) order of the
+        # promoted pages, and the final old order is the other pages
+        # newest-first.
         young = self._young
-        old = self._old
         stamp = self._stamp
         clock = self._clock
         old_ratio = self.old_ratio
         capacity = self.capacity
-        if not young and not old and not clock:
-            # From-empty bulk fill (the prewarm path) admits a closed
-            # form.  Per insert, the rebalance reduces to at most one
-            # promotion of the just-inserted old head: the old sublist
-            # only ever *exceeds* its target (n_old >= target is an
-            # invariant from empty, so the demote loop is dead), and a
-            # single promotion restores n_old <= target + 1.  Hence the
-            # final young order is the promotion (= insertion) order of
-            # the promoted pages, and the final old order is the other
-            # pages newest-first.
-            page_ids = list(page_ids)
-            n = len(page_ids)
-            if (
-                _np is not None
-                and n > 512
-                and n <= capacity
-                and not stamp
-                and len(set(page_ids)) == n
-            ):
-                # Vectorised form of the loop below.  From empty,
-                # n_old after insert i (1-based) is always
-                # ``int(i * old_ratio) + 1``, so insert i promotes its
-                # old head iff ``int(i*r) == int((i-1)*r)`` — a pure
-                # function of i computable in one numpy pass.  (Guarded
-                # to the duplicate-free, within-capacity case so the
-                # scalar loop keeps its exact partial-state exception
-                # behaviour.)
-                fl = _np.floor(
-                    _np.arange(1, n + 1, dtype=_np.float64) * old_ratio
-                )
-                promote = _np.empty(n, dtype=bool)
-                promote[0] = False
-                _np.equal(fl[1:], fl[:-1], out=promote[1:])
-                promote = promote.tolist()
-                stayers = [p for p, m in zip(page_ids, promote) if not m]
-                young.update(
-                    dict.fromkeys(
-                        (p for p, m in zip(page_ids, promote) if m), True
-                    )
-                )
-                old.update(dict.fromkeys(reversed(stayers), True))
-                stamp.update(dict.fromkeys(page_ids, clock))
-                return
-            stayers = []
-            n_old = 0
-            i = 0
-            for page_id in page_ids:
-                if page_id in stamp:
-                    raise KeyError("page %r already in LRU" % (page_id,))
-                if i >= capacity:
-                    raise RuntimeError("LRU full; evict first")
-                i += 1
-                n_old += 1
-                if n_old > int(i * old_ratio) + 1:
-                    young[page_id] = True
-                    n_old -= 1
-                else:
-                    stayers.append(page_id)
-                stamp[page_id] = clock
-            for page_id in reversed(stayers):
-                old[page_id] = True
-            return
-        n_young = len(young)
-        n_old = len(old)
+        stayers = []
+        n_old = 0
+        i = 0
         for page_id in page_ids:
-            if page_id in young or page_id in old:
+            if page_id in stamp:
                 raise KeyError("page %r already in LRU" % (page_id,))
-            if n_young + n_old >= capacity:
+            if i >= capacity:
                 raise RuntimeError("LRU full; evict first")
-            old[page_id] = True
-            old.move_to_end(page_id, last=False)
-            stamp[page_id] = clock
+            i += 1
             n_old += 1
-            target = int((n_young + n_old) * old_ratio)
-            while n_old < target and n_young > 0:
-                tail = next(reversed(young))
-                del young[tail]
-                old[tail] = True
-                old.move_to_end(tail, last=False)
-                n_old += 1
-                n_young -= 1
-            while n_old > target + 1:
-                head = next(iter(old))
-                del old[head]
-                young[head] = True
+            if n_old > int(i * old_ratio) + 1:
+                young[page_id] = True
                 n_old -= 1
-                n_young += 1
+            else:
+                stayers.append(page_id)
+            stamp[page_id] = clock
+        old = self._old
+        for page_id in reversed(stayers):
+            old[page_id] = True
 
     def make_young(self, page_id):
         """Promote a page to the head of the young sublist."""

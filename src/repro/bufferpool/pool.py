@@ -228,14 +228,6 @@ class BufferPool:
             page.dirty = True
         return page
 
-    def flush_page(self, page_id):
-        """Generator: write a dirty page back (used by checkpointing tests)."""
-        page = self._pages.get(page_id)
-        if page is None or not page.dirty:
-            return
-        yield from self.disk.write(self.config.page_bytes)
-        page.dirty = False
-
     # ------------------------------------------------------------------
     # Make-young path (buf_page_make_young)
     # ------------------------------------------------------------------

@@ -60,10 +60,6 @@ class Decomposition:
         self.parent = parent
         self.components = components
 
-    @property
-    def component_variances(self):
-        return {node.key: node.variance for node in self.components}
-
     def covariances(self):
         """Pairwise population covariances among the components."""
         pairs = {}

@@ -120,10 +120,6 @@ class Network:
             self._t_bytes.inc(delta)
             self._flushed_bytes = self.bytes_sent
 
-    def link_queue_delay(self, src, dst):
-        """Virtual time a message on ``src -> dst`` would wait to serialise."""
-        return max(0.0, self._busy_until.get((src, dst), 0.0) - self.sim.now)
-
     def send(self, src, dst, nbytes):
         """Generator: deliver ``nbytes`` from node ``src`` to node ``dst``.
 

@@ -16,189 +16,6 @@ import hashlib
 import math
 import random
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None
-
-
-class BufferedRandom(random.Random):
-    """``random.Random`` serving ``random()`` from a refillable buffer.
-
-    The buffer is pre-drawn in one block — via ``numpy.random.RandomState``
-    when available (its legacy ``random_sample`` consumes the MT19937 core
-    word-for-word like CPython's ``random()``), else via a tight scalar
-    loop — and the core state is fast-forwarded past the whole block.
-
-    Stream semantics are unchanged: the sequence of variates any mix of
-    consumers sees is byte-identical to an unbuffered ``random.Random``
-    with the same seed.  Two rules keep that true:
-
-    - ``random()`` (and everything built on it: ``uniform``, ``gauss``,
-      ``normalvariate``, ``expovariate``, ``lognormvariate``, Zipfian and
-      Pareto draws ...) serves the next pre-drawn variate;
-    - consumers that read the MT core *directly* (``getrandbits`` — and
-      through it ``randrange``/``randint``/``shuffle``/``sample`` — plus
-      ``randbytes`` and ``getstate``) first *rewind-sync*: the core state
-      is restored to the block anchor and replayed over the variates
-      already served, discarding the unserved remainder.  The next
-      ``random()`` starts a fresh block from the synced position.
-    """
-
-    #: Class-level defaults so ``seed`` works during ``Random.__init__``
-    #: (which runs before instance attributes exist).
-    _buf = ()
-    _idx = 0
-    _anchor = None
-    _streak = 0
-    _buffer_size = 1024
-    #: Consecutive un-synced ``random()`` draws before buffering kicks
-    #: in.  Streams that interleave direct-core consumers (``randint``,
-    #: ``shuffle`` ...) between short runs of variates never reach it and
-    #: stay on the native scalar path — buffering them would pay a block
-    #: refill plus a rewind-sync per interleaving and win nothing.
-    _warmup = 128
-
-    def __init__(self, seed=None, buffer_size=1024):
-        super().__init__(seed)
-        self._buffer_size = int(buffer_size)
-        self._rs = None
-
-    # -- buffered uniform path -----------------------------------------
-
-    def random(self):
-        """The next variate of the stream (buffered after a warm-up)."""
-        # Bounds check, not try/except: unbuffered streams (the warm-up
-        # never completes on mixed streams) would raise on every draw,
-        # and exception dispatch costs ~10x the comparison.
-        idx = self._idx
-        buf = self._buf
-        if idx < len(buf):
-            self._idx = idx + 1
-            return buf[idx]
-        streak = self._streak
-        if streak >= self._warmup:
-            return self._refill()
-        self._streak = streak + 1
-        return super().random()
-
-    def _refill(self):
-        """Refill the buffer from the core and serve the first variate.
-
-        The core is left *past the whole block*; ``_anchor`` remembers
-        the pre-block state so direct core consumers can rewind-sync.
-        """
-        anchor = random.Random.getstate(self)
-        n = self._buffer_size
-        if _np is not None:
-            core = anchor[1]
-            rs = self._rs
-            if rs is None:
-                rs = self._rs = _np.random.RandomState()
-            rs.set_state(("MT19937", core[:-1], core[-1]))
-            buf = rs.random_sample(n).tolist()
-            after = rs.get_state()
-            random.Random.setstate(
-                self,
-                (
-                    anchor[0],
-                    tuple(after[1].tolist()) + (int(after[2]),),
-                    self.gauss_next,
-                ),
-            )
-        else:
-            scalar = super().random
-            buf = [scalar() for _ in range(n)]
-        self._anchor = anchor
-        self._buf = buf
-        self._idx = 1
-        return buf[0]
-
-    def _sync(self):
-        """Rewind the core to the logical stream position, drop the buffer."""
-        buf = self._buf
-        if buf:
-            if self._idx < len(buf):
-                # Unserved variates pending: rewind to the block anchor
-                # and replay only what was actually served.  Only the
-                # core words rewind — ``gauss_next`` lives outside the
-                # core and may have been updated since the refill.
-                anchor = self._anchor
-                random.Random.setstate(
-                    self, (anchor[0], anchor[1], self.gauss_next)
-                )
-                scalar = super().random
-                for _ in range(self._idx):
-                    scalar()
-            # else: the block was fully served; the core already sits at
-            # the logical position.
-            self._buf = ()
-            self._idx = 0
-        self._anchor = None
-        self._streak = 0
-
-    # -- direct core consumers: sync first -----------------------------
-
-    def getrandbits(self, k):
-        # ``_buf`` empty implies no anchor either (invariant), so the
-        # no-buffer case only needs the warm-up streak reset — plus the
-        # native rebinding: a direct core consumer arriving before the
-        # warm-up completes marks the stream as mixed, buffering will
-        # never pay, and the Python ``random`` wrapper costs ~1us/draw
-        # on streams that stay unbuffered.  Binding the C core
-        # ``random`` on the instance skips the wrapper for good; the
-        # value stream is identical with or without buffering.
-        if self._buf:
-            self._sync()
-        else:
-            self._go_native()
-        return super().getrandbits(k)
-
-    def randbytes(self, n):
-        if self._buf:
-            self._sync()
-        else:
-            self._go_native()
-        return super().randbytes(n)
-
-    def _go_native(self):
-        """Mixed stream: bind the core methods, skip the wrappers for good.
-
-        Once a stream is native, ``random()`` never buffers again, so
-        the ``getrandbits``/``randbytes`` sync checks are dead too —
-        ``randrange``/``randint`` go straight to the C core.
-        """
-        self._streak = 0
-        self.random = super().random
-        self.getrandbits = super().getrandbits
-        self.randbytes = super().randbytes
-
-    def getstate(self):
-        self._sync()
-        return super().getstate()
-
-    def setstate(self, state):
-        self._buf = ()
-        self._idx = 0
-        self._anchor = None
-        self._streak = 0
-        self._undo_native()
-        super().setstate(state)
-
-    def seed(self, a=None, version=2):
-        self._buf = ()
-        self._idx = 0
-        self._anchor = None
-        self._streak = 0
-        self._undo_native()
-        super().seed(a, version)
-
-    def _undo_native(self):
-        pop = self.__dict__.pop
-        pop("random", None)
-        pop("getrandbits", None)
-        pop("randbytes", None)
-
 
 def bounded_draw(n):
     """Return ``draw(rng)``, value- and stream-identical to ``rng.randrange(n)``.
@@ -234,13 +51,17 @@ class Streams:
         self._streams = {}
 
     def stream(self, name):
-        """Return (creating on first use) the stream for ``name``."""
+        """Return (creating on first use) the stream for ``name``.
+
+        The stream is a ``random.Random`` seeded with the first 8 bytes
+        of SHA-256 over ``"<seed>/<name>"``.
+        """
         rng = self._streams.get(name)
         if rng is None:
             digest = hashlib.sha256(
                 ("%s/%s" % (self.seed, name)).encode("utf-8")
             ).digest()
-            rng = BufferedRandom(int.from_bytes(digest[:8], "big"))
+            rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng
 
@@ -276,11 +97,6 @@ class ScopedStreams:
 
     def __repr__(self):
         return "<ScopedStreams %r of %r>" % (self._prefix, self._base)
-
-
-#: ``random.NV_MAGICCONST`` — the Kinderman-Monahan rejection constant,
-#: reproduced here so :class:`LogNormal` can inline the stdlib draw loop.
-_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 
 
 class Distribution:
@@ -379,36 +195,7 @@ class LogNormal(Distribution):
         self._mu = math.log(mean) - sigma2 / 2.0
 
     def sample(self, rng):
-        # Inlined ``rng.lognormvariate(self._mu, self._sigma)``: the same
-        # Kinderman-Monahan rejection loop (and therefore the same draw
-        # sequence, bit for bit) as ``random.normalvariate``, minus two
-        # Python call layers on the run's hottest distribution.  When the
-        # stream is a :class:`BufferedRandom` with pre-drawn variates
-        # available, the loop reads them straight off the buffer (each
-        # rejection round consumes exactly two uniforms).
-        log = math.log
-        mu = self._mu
-        sigma = self._sigma
-        buf = getattr(rng, "_buf", None)
-        if buf is not None:
-            idx = rng._idx
-            n = len(buf)
-            while idx + 2 <= n:
-                u1 = buf[idx]
-                u2 = 1.0 - buf[idx + 1]
-                idx += 2
-                z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -log(u2):
-                    rng._idx = idx
-                    return math.exp(mu + z * sigma)
-            rng._idx = idx
-        random = rng.random
-        while True:
-            u1 = random()
-            u2 = 1.0 - random()
-            z = _NV_MAGICCONST * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -log(u2):
-                return math.exp(mu + z * sigma)
+        return rng.lognormvariate(self._mu, self._sigma)
 
     @property
     def mean(self):

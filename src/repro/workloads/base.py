@@ -139,10 +139,6 @@ class Workload:
             self._insert_counters[table] = counter
         return next(counter)
 
-    @property
-    def txn_types(self):
-        return [txn_type for txn_type, _weight, _maker in self.mix]
-
     def __repr__(self):
         return "<Workload %s tables=%d types=%d>" % (
             self.name,

@@ -280,9 +280,8 @@ class TestEvictionRace:
 class TestInsertOldMany:
     """``insert_old_many`` must equal a loop of ``insert_old`` calls.
 
-    Three implementations share this contract: the generic fallback
-    loop, the from-empty closed form, and the numpy-vectorised
-    from-empty path (taken only above 512 pages).
+    From empty it takes a closed form; on a non-empty list it is that
+    loop.
     """
 
     @staticmethod
@@ -291,27 +290,14 @@ class TestInsertOldMany:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 37, 100, 511, 513, 2000])
     def test_from_empty_matches_insert_old_loop(self, n):
-        bulk = LRUList(capacity=4096)
-        loop = LRUList(capacity=4096)
         pages = ["p%d" % i for i in range(n)]
-        bulk.insert_old_many(pages)
-        for page in pages:
-            loop.insert_old(page)
-        assert self._state(bulk) == self._state(loop)
-
-    @pytest.mark.parametrize("old_ratio", [0.125, 3.0 / 8.0, 0.5, 0.9])
-    def test_vector_path_matches_scalar_closed_form(self, old_ratio):
-        # n > 512 takes the numpy path (when numpy is present); build a
-        # second list just below the threshold plus singles to force the
-        # scalar form on identical input, and compare final states.
-        n = 600
-        pages = ["p%d" % i for i in range(n)]
-        vector = LRUList(capacity=4096, old_ratio=old_ratio)
-        scalar = LRUList(capacity=4096, old_ratio=old_ratio)
-        vector.insert_old_many(pages)
-        for page in pages:
-            scalar.insert_old(page)
-        assert self._state(vector) == self._state(scalar)
+        for old_ratio in (0.125, 3.0 / 8.0, 0.5, 0.9):
+            bulk = LRUList(capacity=4096, old_ratio=old_ratio)
+            loop = LRUList(capacity=4096, old_ratio=old_ratio)
+            bulk.insert_old_many(pages)
+            for page in pages:
+                loop.insert_old(page)
+            assert self._state(bulk) == self._state(loop), old_ratio
 
     def test_non_empty_fallback_matches_loop(self):
         bulk = LRUList(capacity=4096)
@@ -332,8 +318,7 @@ class TestInsertOldMany:
             lru.insert_old_many(["a", "b", "a"])
 
     def test_duplicate_against_vector_guard(self):
-        # >512 pages with one duplicate: the vector path must decline
-        # (its guard) and the scalar loop raises exactly like insert_old.
+        # A duplicate after 600 pages raises the KeyError insert_old does.
         pages = ["p%d" % i for i in range(600)] + ["p0"]
         lru = LRUList(capacity=4096)
         with pytest.raises(KeyError):

@@ -68,13 +68,13 @@ COUNTS_PYTHON = (3, 11)
 
 #: mode -> (dispatches, heap pushes, calls).
 COUNTS = {
-    "mysql": (50_933, 10_572, 455_600),
-    "mysql-telemetry-off": (50_933, 10_572, 454_677),
-    "mysql-replicated-crash": (82_028, 17_092, 668_916),
-    "mysql-2shard": (51_552, 11_637, 274_708),
-    "postgres": (15_890, 1_669, 102_622),
-    "postgres-root-probed": (16_290, 1_766, 186_110),
-    "voltdb": (6_679, 3_641, 162_440),
+    "mysql": (50_933, 10_572, 454_128),
+    "mysql-telemetry-off": (50_933, 10_572, 453_205),
+    "mysql-replicated-crash": (82_028, 17_092, 665_547),
+    "mysql-2shard": (51_552, 11_637, 272_077),
+    "postgres": (15_890, 1_669, 99_258),
+    "postgres-root-probed": (16_290, 1_766, 182_746),
+    "voltdb": (6_679, 3_641, 160_290),
 }
 
 _PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep

@@ -146,6 +146,42 @@ def test_lognormal_always_positive_and_finite(mean, cv):
         assert math.isfinite(x)
 
 
+#: The Kinderman-Monahan rejection constant of CPython's ``normalvariate``.
+_KM_MAGIC = 4 * math.exp(-0.5) / math.sqrt(2.0)
+
+
+def _reference_lognormal(rng, mu, sigma):
+    """CPython's ``normalvariate`` rejection loop, exponentiated."""
+    while True:
+        u1 = rng.random()
+        u2 = 1.0 - rng.random()
+        z = _KM_MAGIC * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -math.log(u2):
+            return math.exp(mu + z * sigma)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    mean=st.floats(min_value=0.1, max_value=1e6),
+    cv=st.floats(min_value=0.01, max_value=5.0),
+)
+def test_lognormal_matches_reference_loop(seed, mean, cv):
+    """``LogNormal.sample`` draws exactly what the reference loop draws.
+
+    CI runs this on every supported Python, so a stdlib change to
+    ``normalvariate`` fails here instead of shifting every golden.
+    """
+    import random
+
+    dist = LogNormal(mean, cv)
+    rng = random.Random(seed)
+    ref = random.Random(seed)
+    for _ in range(50):
+        assert dist.sample(rng) == _reference_lognormal(ref, dist._mu, dist._sigma)
+    assert rng.getstate() == ref.getstate()
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(min_value=1, max_value=100_000), theta=st.floats(0.05, 0.995))
 def test_zipfian_stays_in_range(n, theta):
@@ -157,151 +193,51 @@ def test_zipfian_stays_in_range(n, theta):
         assert 0 <= zipf.sample(rng) < n
 
 
-class TestBufferedRandomEquivalence:
-    """``BufferedRandom`` must be value-identical to ``random.Random``.
-
-    The buffered uniform path, the native rebinding on mixed streams,
-    and the rewind-sync for direct core consumers are wall-clock
-    optimisations only: every draw sequence must match a plain
-    ``random.Random`` seeded identically, no matter how the call kinds
-    interleave.
-    """
-
-    OPS = ("random", "randint", "getrandbits", "randbytes",
-           "gauss", "lognormvariate", "shuffle", "getstate_roundtrip")
-
-    def _apply(self, rng, op):
-        if op == "random":
-            return rng.random()
-        if op == "randint":
-            return rng.randint(0, 10 ** 9)
-        if op == "getrandbits":
-            return rng.getrandbits(64)
-        if op == "randbytes":
-            return rng.randbytes(7)
-        if op == "gauss":
-            return rng.gauss(0.0, 1.0)
-        if op == "lognormvariate":
-            return rng.lognormvariate(0.1, 0.8)
-        if op == "shuffle":
-            items = list(range(10))
-            rng.shuffle(items)
-            return tuple(items)
-        state = rng.getstate()
-        rng.setstate(state)
-        return None
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        ops=st.lists(
-            st.sampled_from(OPS + ("random",) * 4), min_size=1, max_size=400
-        ),
-        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-    )
-    def test_torture_interleaving_matches_plain_random(self, ops, seed):
-        import random as stdlib_random
-
-        from repro.sim.rand import BufferedRandom
-
-        buffered = BufferedRandom(seed)
-        plain = stdlib_random.Random(seed)
-        for op in ops:
-            assert self._apply(buffered, op) == self._apply(plain, op), op
-
-    def test_long_uniform_run_crosses_refill_boundaries(self):
-        import random as stdlib_random
-
-        from repro.sim.rand import BufferedRandom
-
-        buffered = BufferedRandom(99)
-        plain = stdlib_random.Random(99)
-        draws = [(buffered.random(), plain.random()) for _ in range(5000)]
-        assert all(a == b for a, b in draws)
-        # The warm-up completed and the buffer engaged.
-        assert buffered._buf
-
-    def test_mixed_stream_goes_native_and_stays_identical(self):
-        import random as stdlib_random
-
-        from repro.sim.rand import BufferedRandom
-
-        buffered = BufferedRandom(7)
-        plain = stdlib_random.Random(7)
-        assert buffered.random() == plain.random()
-        assert buffered.getrandbits(32) == plain.getrandbits(32)
-        # First direct-core call before warm-up: the instance rebinds
-        # the C-level methods and never buffers.
-        assert "random" in buffered.__dict__
-        for _ in range(500):
-            assert buffered.random() == plain.random()
-        assert not buffered._buf
-        # Re-seeding restores the buffering wrapper.
-        buffered.seed(7)
-        assert "random" not in buffered.__dict__
-
-    def test_state_roundtrip_mid_buffer(self):
-        import random as stdlib_random
-
-        from repro.sim.rand import BufferedRandom
-
-        buffered = BufferedRandom(3)
-        plain = stdlib_random.Random(3)
-        for _ in range(300):  # past warm-up, buffer engaged
-            assert buffered.random() == plain.random()
-        state = buffered.getstate()
-        expected = [plain.random() for _ in range(10)]
-        assert [buffered.random() for _ in range(10)] == expected
-        buffered.setstate(state)
-        assert [buffered.random() for _ in range(10)] == expected
-
-
 class TestBoundedDraw:
     """``bounded_draw`` reproduces ``randrange``/``randint`` draw for draw.
 
-    Compared against a plain ``random.Random`` on values and on the core
-    state afterwards, from a :class:`BufferedRandom` that is fresh, one
-    that is buffering (past the ``random()`` warm-up) and one already
-    native.  CI runs this on every supported Python, so a stdlib change
-    to ``randrange`` fails here instead of shifting generator streams.
+    Compared against ``randrange``/``randint`` on a second stream with
+    the same seed, on values and on the stream state afterwards, from
+    three starting positions: ``fresh`` (just seeded), ``buffered``
+    (after 144 ``random()`` draws) and ``native`` (after one
+    ``getrandbits`` draw).  CI runs this on every supported Python, so
+    a stdlib change to ``randrange`` fails here instead of shifting
+    generator streams.
     """
 
     BOUNDS = (1, 2, 3, 10, 11, 300, 600, 8192, 8193, 10000, 1280000)
     DRAWS = 200
 
-    def _pair(self, state, seed=11):
+    def _pair(self, start, seed=11):
         import random as stdlib_random
 
-        from repro.sim.rand import BufferedRandom
+        pair = stdlib_random.Random(seed), stdlib_random.Random(seed)
+        for rng in pair:
+            if start == "buffered":
+                for _ in range(144):
+                    rng.random()
+            elif start == "native":
+                rng.getrandbits(8)
+        return pair
 
-        buffered = BufferedRandom(seed)
-        plain = stdlib_random.Random(seed)
-        if state == "buffered":
-            for _ in range(BufferedRandom._warmup + 16):
-                assert buffered.random() == plain.random()
-            assert buffered._buf
-        elif state == "native":
-            assert buffered.getrandbits(8) == plain.getrandbits(8)
-            assert "getrandbits" in buffered.__dict__
-        return buffered, plain
-
-    @pytest.mark.parametrize("state", ["fresh", "buffered", "native"])
+    @pytest.mark.parametrize("start", ["fresh", "buffered", "native"])
     @pytest.mark.parametrize("n", BOUNDS)
-    def test_matches_randrange(self, n, state):
-        buffered, plain = self._pair(state)
+    def test_matches_randrange(self, n, start):
+        rng, ref = self._pair(start)
         draw = bounded_draw(n)
-        assert [draw(buffered) for _ in range(self.DRAWS)] == [
-            plain.randrange(n) for _ in range(self.DRAWS)
+        assert [draw(rng) for _ in range(self.DRAWS)] == [
+            ref.randrange(n) for _ in range(self.DRAWS)
         ]
-        assert buffered.getstate() == plain.getstate()
+        assert rng.getstate() == ref.getstate()
 
-    @pytest.mark.parametrize("state", ["fresh", "buffered", "native"])
-    def test_offset_matches_randint(self, state):
-        buffered, plain = self._pair(state)
+    @pytest.mark.parametrize("start", ["fresh", "buffered", "native"])
+    def test_offset_matches_randint(self, start):
+        rng, ref = self._pair(start)
         draw = bounded_draw(11)
-        assert [5 + draw(buffered) for _ in range(self.DRAWS)] == [
-            plain.randint(5, 15) for _ in range(self.DRAWS)
+        assert [5 + draw(rng) for _ in range(self.DRAWS)] == [
+            ref.randint(5, 15) for _ in range(self.DRAWS)
         ]
-        assert buffered.getstate() == plain.getstate()
+        assert rng.getstate() == ref.getstate()
 
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):

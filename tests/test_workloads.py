@@ -60,8 +60,8 @@ def _spec_stream_digests(name, kwargs, seed=7):
     """SHA-256 of a driver-shaped spec stream and of the stream state after.
 
     Specs are drawn from the ``driver`` stream with the driver's jitter
-    draw between them, so the buffered/native switching of
-    :class:`~repro.sim.rand.BufferedRandom` is exercised as in a run.
+    draw between them, so ``getrandbits`` and ``random()`` draws
+    interleave as in a run.
     Every op must also equal its rebuild through the validating
     :class:`Operation` constructor.
     """
