@@ -142,7 +142,7 @@ def main(argv=None):
 
     if args.check_determinism:
         # A second, fully independent execution of every config (the
-        # executor holds no cache here, so nothing is reused).
+        # executor keeps nothing between run() calls).
         rerun = [run_digest(a) for a in executor.run(configs)]
         for seed, one, two in zip(seeds, digests, rerun):
             if one != two:

@@ -33,17 +33,15 @@ def _hex_floats(value):
 def run_payload(result):
     """The canonical, JSON-serialisable view of one run's results.
 
-    Accepts either a live :class:`~repro.bench.runner.RunResult` (clock
-    read off the simulator) or a plain
-    :class:`~repro.exec.artifact.RunArtifact` (clock carried as a
-    field); both views of the same run produce the same payload, which
-    is what lets the executor tests pin parallel == serial by digest.
+    ``result`` is a live :class:`~repro.bench.runner.RunResult` or its
+    plain-data :class:`~repro.exec.artifact.RunArtifact`; both read the
+    same primitives, so both views of one run produce the same payload,
+    which is what lets the executor tests pin parallel == serial by
+    digest.
     """
-    sim = getattr(result, "sim", None)
-    final_clock = sim.now if sim is not None else result.final_clock
     return {
         "latencies": [lat.hex() for lat in result.latencies],
-        "final_clock": final_clock.hex(),
+        "final_clock": result.final_clock.hex(),
         "metrics": _hex_floats(result.metrics_snapshot()),
         "abort_counts": result.abort_counts,
         "failed_counts": result.failed_counts,

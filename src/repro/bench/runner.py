@@ -23,6 +23,7 @@ import gc
 import inspect
 from array import array
 
+from repro.bench.digest import run_digest
 from repro.check.recorder import HistoryRecorder
 from repro.cluster import Cluster, Node, Topology, make_router
 from repro.core.annotations import TransactionLog
@@ -166,7 +167,16 @@ class ExperimentConfig:
         )
 
 class RunResult:
-    """Everything one run produced."""
+    """Everything one run produced.
+
+    Every reading (``traces``, ``latencies``, ``summary``,
+    ``throughput_tps``, ``digest()`` ...) is written once, here, over a
+    few primitives: ``all_traces``, ``warmup_count``, ``failed_counts``,
+    ``metrics_snapshot()``, ``final_clock`` and ``dispatch_count``.  A
+    live result reads them off the simulator;
+    :class:`~repro.exec.artifact.RunArtifact` stores them as plain data
+    and inherits every reading.
+    """
 
     def __init__(self, config, log, engine, sim, warmup_count):
         self.config = config
@@ -174,6 +184,34 @@ class RunResult:
         self.engine = engine
         self.sim = sim
         self.warmup_count = warmup_count
+
+    # -- primitives ----------------------------------------------------
+
+    @property
+    def all_traces(self):
+        """Every finished transaction, warmup and failures included."""
+        return self.log.traces
+
+    @property
+    def final_clock(self):
+        """The virtual clock when the run drained."""
+        return self.sim.now
+
+    @property
+    def dispatch_count(self):
+        """Wakeups the kernel dispatched over the run."""
+        return self.sim.dispatch_count
+
+    @property
+    def cluster_stats(self):
+        """Single-home and cross-shard totals (``None`` off a cluster)."""
+        engine = self.engine
+        if not hasattr(engine, "single_home_txns"):
+            return None
+        return {
+            "single_home_txns": engine.single_home_txns,
+            "cross_shard_txns": engine.cross_shard_txns,
+        }
 
     @property
     def metrics(self):
@@ -211,14 +249,21 @@ class RunResult:
         """
         return snapshot_rollup(self.metrics_snapshot())
 
+    # -- the measurement set -------------------------------------------
+
     @property
     def traces(self):
         """Committed, post-warmup traces (the measurement set)."""
         return [
             t
-            for t in self.log.traces
+            for t in self.all_traces
             if t.committed and t.txn_id >= self.warmup_count
         ]
+
+    @property
+    def committed_count(self):
+        """Committed transactions across the whole run (warmup included)."""
+        return sum(1 for t in self.all_traces if t.committed)
 
     @property
     def latencies(self):
@@ -234,6 +279,17 @@ class RunResult:
     @property
     def summary(self):
         return summarize(self.latencies)
+
+    @property
+    def throughput_tps(self):
+        """Completed transactions per second of virtual time."""
+        traces = self.traces
+        if not traces:
+            return 0.0
+        span = max(t.end for t in traces) - min(t.birth for t in traces)
+        if span <= 0:
+            return 0.0
+        return len(traces) / (span / 1_000_000.0)
 
     # -- robustness accounting -----------------------------------------
 
@@ -255,7 +311,7 @@ class RunResult:
     @property
     def shed_txns(self):
         """Arrivals rejected by the bounded submission queue."""
-        return self.engine.failed_by_reason.get("shed", 0)
+        return self.failed_counts.get("shed", 0)
 
     @property
     def fault_counts(self):
@@ -310,16 +366,11 @@ class RunResult:
         recorder = self.sim.check
         return dict(recorder.outcome_counts) if recorder.enabled else None
 
-    @property
-    def throughput_tps(self):
-        """Completed transactions per second of virtual time."""
-        traces = self.traces
-        if not traces:
-            return 0.0
-        span = max(t.end for t in traces) - min(t.birth for t in traces)
-        if span <= 0:
-            return 0.0
-        return len(traces) / (span / 1_000_000.0)
+    # -- identity ------------------------------------------------------
+
+    def digest(self):
+        """SHA-256 over the canonical run payload (``run_digest``)."""
+        return run_digest(self)
 
     def artifact(self):
         """The picklable plain-data extract of this run (repro.exec)."""

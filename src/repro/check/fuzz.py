@@ -368,8 +368,7 @@ def fuzz_one(seed, shrink_on_failure=True, max_shrink_steps=MAX_SHRINK_STEPS):
 
 
 def fuzz_many(seeds, jobs=1, shrink_on_failure=True,
-              max_shrink_steps=MAX_SHRINK_STEPS, executor=None,
-              progress=None):
+              max_shrink_steps=MAX_SHRINK_STEPS):
     """Fuzz a batch of seeds through the execution layer.
 
     Every case is an independent deterministic run, so the sweep fans
@@ -384,13 +383,9 @@ def fuzz_many(seeds, jobs=1, shrink_on_failure=True,
     """
     seeds = list(seeds)
     cases = [make_case(seed) for seed in seeds]
-    if executor is None:
-        from repro.exec.executor import Executor
+    from repro.exec.executor import run_many
 
-        executor = Executor(jobs=jobs)
-    artifacts = executor.run(
-        [build_config(case) for case in cases], progress=progress
-    )
+    artifacts = run_many([build_config(case) for case in cases], jobs=jobs)
     reports = []
     for seed, case, artifact in zip(seeds, cases, artifacts):
         violations = artifact.check_report()

@@ -694,10 +694,7 @@ class Cluster:
         yield from self.network.send(
             self.COORD, node.node_id, topology.decision_bytes
         )
-        if "indoubt_wait" in self.tracer.instrumented:
-            dt = self.sim.now - crash_time
-            if dt > 0.0:
-                self.tracer.record(ctx, "indoubt_wait", dt, site="recovery")
+        self._record_indoubt_wait(ctx, crash_time)
         commit = bool(branch.decision.value)
         if commit:
             yield from engine._branch_commit(ctx, branch)

@@ -197,17 +197,5 @@ class TransactionLog:
     def record(self, ctx, committed=True):
         self.traces.append(ctx.finish(committed))
 
-    @property
-    def committed(self):
-        return [t for t in self.traces if t.committed]
-
-    def latencies(self, txn_type=None):
-        """Latency vector of committed transactions (optionally one type)."""
-        return [
-            t.latency
-            for t in self.traces
-            if t.committed and (txn_type is None or t.txn_type == txn_type)
-        ]
-
     def __len__(self):
         return len(self.traces)

@@ -27,8 +27,9 @@ def overhead_experiment(system, child_counts, probe_cost):
     uninstrumented run.
 
     ``system`` is a :class:`~repro.core.profiler.ProfiledSystem` whose
-    ``run`` returns a TransactionLog; throughput is completed transactions
-    per unit virtual time over the run's span.
+    ``run`` returns an object whose ``traces`` holds the run's
+    transactions; the mean latency and the throughput count its
+    committed ones, throughput per unit virtual time over the run's span.
     """
     baseline = _measure(system, frozenset(), 0.0)
     rows = []
@@ -47,9 +48,9 @@ def overhead_experiment(system, child_counts, probe_cost):
 
 
 def _measure(system, instrumented, probe_cost):
-    log = system.run(instrumented, probe_cost)
-    latencies = log.latencies()
-    span = max(t.end for t in log.traces) - min(t.birth for t in log.traces)
+    traces = system.run(instrumented, probe_cost).traces
+    latencies = [t.latency for t in traces if t.committed]
+    span = max(t.end for t in traces) - min(t.birth for t in traces)
     mean = sum(latencies) / len(latencies)
     throughput = len(latencies) / span
     return mean, throughput

@@ -8,8 +8,9 @@ The loop stops when no chosen factor has unexplored children (or after
 
 A :class:`ProfiledSystem` adapter supplies the system under study: its
 static call graph and a ``run(instrumented, probe_cost)`` method that
-executes the workload and returns a
-:class:`~repro.core.annotations.TransactionLog`.
+executes the workload and returns an object whose ``traces`` holds the
+run's transactions (a :class:`~repro.core.annotations.TransactionLog`
+or a run result).
 
 :class:`NaiveProfiler` is the Figure 5 (right) baseline: it decomposes
 *every* factor rather than only the high-scoring ones, so the number of
@@ -30,11 +31,12 @@ class ProfiledSystem:
 
     - ``callgraph`` — a :class:`~repro.core.callgraph.CallGraph`;
     - ``run(instrumented, probe_cost)`` — execute the workload with the
-      given instrumented function names and return a ``TransactionLog``.
+      given instrumented function names and return an object whose
+      ``traces`` holds the run's transactions.
 
     ``run_many`` executes a batch of independent instrumented subsets
-    and returns one log per subset, in order.  The default is a serial
-    loop over ``run``; adapters backed by the execution layer
+    and returns one such object per subset, in order.  The default is a
+    serial loop over ``run``; adapters backed by the execution layer
     (:class:`~repro.bench.profiled.EngineProfiledSystem`) override it to
     fan the batch out across an :class:`~repro.exec.Executor`.
     """

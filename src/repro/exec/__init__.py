@@ -1,4 +1,4 @@
-"""Parallel experiment execution: schema, artifacts, executor, cache.
+"""Parallel experiment execution: schema, artifacts, executor.
 
 The layer between "a run is a pure function of its config" and "run
 hundreds of them as fast as the hardware allows":
@@ -6,13 +6,12 @@ hundreds of them as fast as the hardware allows":
 - :mod:`repro.exec.schema` — one declarative field schema per config
   class, with canonical ``to_dict``/``from_dict`` serialisation and a
   stable content digest;
-- :mod:`repro.exec.artifact` — :class:`RunArtifact`, the picklable
-  plain-data extract of a run that crosses process boundaries without
-  pinning simulator object graphs;
+- :mod:`repro.exec.artifact` — :class:`RunArtifact`, a ``RunResult``
+  detached from its simulator: plain data that crosses process
+  boundaries without pinning simulator object graphs;
 - :mod:`repro.exec.executor` — :class:`Executor` with inline and
-  spawn-based process-pool backends, deterministic result ordering,
-  and an optional content-addressed on-disk cache keyed by
-  code version + config digest.
+  spawn-based process-pool backends, deterministic result ordering
+  and digest dedup.
 
 See ``docs/execution.md``.
 
@@ -39,10 +38,8 @@ from repro.exec.schema import (
 )
 
 _LAZY = {
-    "ARTIFACT_SCHEMA_VERSION": "repro.exec.artifact",
     "RunArtifact": "repro.exec.artifact",
     "Executor": "repro.exec.executor",
-    "code_version": "repro.exec.executor",
     "run_many": "repro.exec.executor",
 }
 

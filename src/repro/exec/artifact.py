@@ -1,40 +1,35 @@
-"""Picklable run artifacts: everything a sweep needs, nothing live.
+"""Picklable run artifacts: a RunResult detached from its simulator.
 
 A :class:`~repro.bench.runner.RunResult` is deliberately heavyweight —
 it pins the whole simulator object graph (kernel, engines, lock tables,
 buffer pools) so interactive analysis can poke at anything.  That graph
 cannot cross a process boundary, and holding one per run makes a
-500-run sweep balloon.  :class:`RunArtifact` is the extract: plain data
-only (transaction traces, the metrics snapshot, the recorded history,
-per-reason accounting, the check report), picklable by construction,
-and carrying the canonical config payload + content digest it was
-produced from.
+500-run sweep balloon.  :class:`RunArtifact` is a ``RunResult`` that
+stores, as plain-data slots, the primitives every reading is written
+over (transaction traces, the metrics snapshot, the recorded history,
+per-reason accounting, the final clock, the check report), and carries
+the canonical config payload + content digest it was produced from.
 
-Everything the multi-run drivers read off a ``RunResult`` is mirrored
-here under the same names — ``summary``, ``latencies``,
-``throughput_tps``, ``metrics_snapshot()``, ``check_report()``,
-``outcome_counts`` and friends — so sweeps, the profiler adapter and
-the fuzzer work identically on either.  ``digest()`` equals
-``repro.bench.digest.run_digest`` of the originating result, which is
-how the parallel-equals-serial tests pin byte-identity.
+It defines no reading of its own: ``summary``, ``latencies``,
+``throughput_tps``, ``digest()`` and friends are ``RunResult``'s, so
+sweeps, the profiler adapter and the fuzzer work identically on either,
+and ``digest()`` equals the originating result's, which is how the
+parallel-equals-serial tests pin byte-identity.
 """
 
-from array import array
-
-from repro.sim.stats import summarize
-from repro.telemetry import snapshot_node_slice, snapshot_rollup
-
-#: Bump when the pickled layout changes; part of the cache key.
-ARTIFACT_SCHEMA_VERSION = 1
+from repro.bench.runner import RunResult
+from repro.exec.schema import from_dict
 
 
-class RunArtifact:
-    """The plain-data outcome of one experiment run."""
+class RunArtifact(RunResult):
+    """The plain-data outcome of one experiment run.
+
+    Each slot shadows the live result's property of the same name.
+    """
 
     __slots__ = (
         "config_data",
         "config_digest",
-        "schema_version",
         "warmup_count",
         "final_clock",
         "dispatch_count",
@@ -53,10 +48,7 @@ class RunArtifact:
     )
 
     def __init__(self, **fields):
-        self.schema_version = ARTIFACT_SCHEMA_VERSION
         for name in self.__slots__:
-            if name == "schema_version":
-                continue
             setattr(self, name, fields.pop(name))
         if fields:
             raise TypeError("unknown artifact fields: %s" % sorted(fields))
@@ -65,22 +57,13 @@ class RunArtifact:
     def from_result(cls, result):
         """Extract the picklable artifact from a finished run."""
         config = result.config
-        engine = result.engine
-        cluster_stats = None
-        if hasattr(engine, "single_home_txns"):
-            cluster_stats = {
-                "single_home_txns": engine.single_home_txns,
-                "cross_shard_txns": engine.cross_shard_txns,
-            }
-        history = result.history
-        check_violations = result.check_report()
         return cls(
             config_data=config.to_dict(),
             config_digest=config.config_digest(),
             warmup_count=result.warmup_count,
-            final_clock=result.sim.now,
-            dispatch_count=result.sim.dispatch_count,
-            all_traces=list(result.log.traces),
+            final_clock=result.final_clock,
+            dispatch_count=result.dispatch_count,
+            all_traces=list(result.all_traces),
             metrics=result.metrics_snapshot(),
             event_jsonl=result.event_log_jsonl(),
             abort_counts=result.abort_counts,
@@ -89,63 +72,15 @@ class RunArtifact:
             fault_counts=result.fault_counts,
             outcome_counts=result.outcome_counts,
             txn_outcomes=result.txn_outcomes,
-            check_violations=check_violations,
-            history=history,
-            cluster_stats=cluster_stats,
+            check_violations=result.check_report(),
+            history=result.history,
+            cluster_stats=result.cluster_stats,
         )
-
-    # -- config ---------------------------------------------------------
 
     @property
     def config(self):
         """The :class:`ExperimentConfig` rebuilt from the canonical form."""
-        from repro.exec.schema import from_dict
-
         return from_dict(self.config_data)
-
-    # -- the measurement set (mirrors RunResult) ------------------------
-
-    @property
-    def traces(self):
-        """Committed, post-warmup traces (the measurement set)."""
-        return [
-            t
-            for t in self.all_traces
-            if t.committed and t.txn_id >= self.warmup_count
-        ]
-
-    @property
-    def committed_count(self):
-        """Committed transactions across the whole run (warmup included)."""
-        return sum(1 for t in self.all_traces if t.committed)
-
-    @property
-    def latencies(self):
-        # Packed doubles, not a list of boxed floats: a large sweep's
-        # latency vectors are 3-4x smaller and feed numpy zero-copy.
-        return array("d", (t.latency for t in self.traces))
-
-    def latencies_of(self, txn_type):
-        return array(
-            "d", (t.latency for t in self.traces if t.txn_type == txn_type)
-        )
-
-    @property
-    def summary(self):
-        return summarize(self.latencies)
-
-    @property
-    def throughput_tps(self):
-        """Completed transactions per second of virtual time."""
-        traces = self.traces
-        if not traces:
-            return 0.0
-        span = max(t.end for t in traces) - min(t.birth for t in traces)
-        if span <= 0:
-            return 0.0
-        return len(traces) / (span / 1_000_000.0)
-
-    # -- telemetry ------------------------------------------------------
 
     def metrics_snapshot(self):
         """The metrics report captured at the end of the run."""
@@ -155,34 +90,12 @@ class RunArtifact:
         """The structured event log as JSON lines (empty when disabled)."""
         return self.event_jsonl
 
-    def node_metrics_snapshot(self, node_id):
-        """One node's slice of the metrics, with the label stripped."""
-        return snapshot_node_slice(self.metrics, node_id)
-
-    def metrics_rollup(self):
-        """Cluster-wide totals: labeled instruments merged by base name."""
-        return snapshot_rollup(self.metrics)
-
-    # -- robustness + correctness accounting ----------------------------
-
-    @property
-    def shed_txns(self):
-        return self.failed_counts.get("shed", 0)
-
     def check_report(self):
         """The oracle verdict computed where the run executed.
 
         ``[]`` means clean; ``None`` when the run had ``check=False``.
         """
         return self.check_violations
-
-    # -- identity -------------------------------------------------------
-
-    def digest(self):
-        """SHA-256 over the canonical run payload (= ``run_digest``)."""
-        from repro.bench.digest import run_digest
-
-        return run_digest(self)
 
     def __repr__(self):
         return "<RunArtifact %s n=%d digest=%s...>" % (

@@ -13,54 +13,12 @@ Workers receive the config as its canonical ``to_dict()`` payload and
 rebuild it with :func:`~repro.exec.schema.from_dict` — nothing but
 plain data crosses the pipe in either direction, so no simulator object
 graph is ever pickled or pinned.
-
-The optional on-disk cache is content-addressed: the key is the
-SHA-256 of ``code version + config digest``, where the code version
-hashes every source file of the ``repro`` package.  Any source edit or
-config change misses the cache; a hit is byte-identical to a fresh run
-by the determinism argument above.  Writes are atomic
-(temp file + ``os.replace``) so concurrent executors sharing a cache
-directory never observe torn artifacts.
 """
-
-import hashlib
-import os
-import pickle
-import tempfile
 
 # NOTE: never import repro.bench.runner (or anything that leads there)
 # at module level.  Config modules import repro.exec.schema, which
 # initialises the repro.exec package; a top-level runner import here
 # would close that loop into a partially-initialised-module error.
-
-_CODE_VERSION = None
-
-
-def code_version():
-    """A digest of the ``repro`` package sources (cache-key component).
-
-    Computed once per process: SHA-256 over every ``.py`` file under
-    the package root, walked in sorted relative-path order.
-    """
-    global _CODE_VERSION
-    if _CODE_VERSION is None:
-        import repro
-
-        root = os.path.dirname(os.path.abspath(repro.__file__))
-        digest = hashlib.sha256()
-        for dirpath, dirnames, filenames in sorted(os.walk(root)):
-            dirnames.sort()
-            for filename in sorted(filenames):
-                if not filename.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, filename)
-                digest.update(os.path.relpath(path, root).encode("utf-8"))
-                digest.update(b"\0")
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-                digest.update(b"\0")
-        _CODE_VERSION = digest.hexdigest()
-    return _CODE_VERSION
 
 
 def _execute(config_data):
@@ -81,118 +39,50 @@ class Executor:
     since workers receive only canonical config payloads and rebuild
     everything from source.  Results always come back in input order,
     regardless of completion order.
-
-    ``cache_dir`` enables the content-addressed artifact cache; reads
-    and writes happen on the parent side so a cache hit costs no
-    worker round-trip.
     """
 
-    def __init__(self, jobs=1, cache_dir=None, mp_context="spawn"):
+    def __init__(self, jobs=1):
         if jobs < 1:
             raise ValueError("jobs must be >= 1, got %r" % (jobs,))
         self.jobs = jobs
-        self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
-        self.mp_context = mp_context
 
-    # -- cache ----------------------------------------------------------
-
-    def _cache_key(self, config_digest):
-        blob = ("%s:%s" % (code_version(), config_digest)).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
-    def _cache_path(self, key):
-        return os.path.join(self.cache_dir, key[:2], key + ".pkl")
-
-    def _cache_load(self, key):
-        try:
-            with open(self._cache_path(key), "rb") as handle:
-                return pickle.load(handle)
-        except (FileNotFoundError, EOFError, pickle.UnpicklingError):
-            return None
-
-    def _cache_store(self, key, artifact):
-        path = self._cache_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(artifact, handle, pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    # -- execution ------------------------------------------------------
-
-    def run(self, configs, progress=None):
-        """Execute every config; artifacts return in input order.
-
-        ``progress``, if given, is called as ``progress(done, total)``
-        after each run completes (cache hits included).
-        """
+    def run(self, configs):
+        """Execute every config; artifacts return in input order."""
         from repro.exec.schema import to_dict
 
         configs = list(configs)
-        total = len(configs)
         payloads = [to_dict(config) for config in configs]
-        digests = [config.config_digest() for config in configs]
-        artifacts = [None] * total
-        done = 0
-
-        # Parent-side cache reads first: hits never reach the pool.
-        keys = [None] * total
-        if self.cache_dir is not None:
-            for i, digest in enumerate(digests):
-                keys[i] = self._cache_key(digest)
-                artifacts[i] = self._cache_load(keys[i])
-                if artifacts[i] is not None:
-                    done += 1
-                    if progress is not None:
-                        progress(done, total)
-
         # Identical configs run once; determinism makes the shared
         # artifact indistinguishable from running each separately.
         pending = {}
-        for i, digest in enumerate(digests):
-            if artifacts[i] is None:
-                pending.setdefault(digest, []).append(i)
-        order = sorted(pending, key=lambda d: pending[d][0])
+        for i, config in enumerate(configs):
+            pending.setdefault(config.config_digest(), []).append(i)
 
-        if order:
-            if self.jobs == 1 or len(order) == 1:
-                fresh = (
-                    (digest, _execute(payloads[pending[digest][0]]))
-                    for digest in order
-                )
-            else:
-                fresh = self._pool_run(order, pending, payloads)
-            for digest, artifact in fresh:
-                for i in pending[digest]:
-                    artifacts[i] = artifact
-                    done += 1
-                    if progress is not None:
-                        progress(done, total)
-                if self.cache_dir is not None:
-                    self._cache_store(keys[pending[digest][0]], artifact)
+        artifacts = [None] * len(configs)
+        if not pending:
+            return artifacts
+        if self.jobs == 1 or len(pending) == 1:
+            fresh = (
+                (digest, _execute(payloads[indices[0]]))
+                for digest, indices in pending.items()
+            )
+        else:
+            fresh = self._pool_run(pending, payloads)
+        for digest, artifact in fresh:
+            for i in pending[digest]:
+                artifacts[i] = artifact
         return artifacts
 
-    def _pool_run(self, order, pending, payloads):
+    def _pool_run(self, pending, payloads):
         import concurrent.futures
         import multiprocessing
 
-        context = multiprocessing.get_context(self.mp_context)
-        workers = min(self.jobs, len(order))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
+        workers = min(self.jobs, len(pending))
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(workers, spawn) as pool:
             futures = [
-                (digest, pool.submit(_execute, payloads[pending[digest][0]]))
-                for digest in order
+                (digest, pool.submit(_execute, payloads[indices[0]]))
+                for digest, indices in pending.items()
             ]
             # Collect in submission order: completion order never leaks
             # into result order.
@@ -204,6 +94,6 @@ class Executor:
         return self.run([config])[0]
 
 
-def run_many(configs, jobs=1, cache_dir=None, progress=None):
-    """One-shot convenience: ``Executor(jobs, cache_dir).run(configs)``."""
-    return Executor(jobs=jobs, cache_dir=cache_dir).run(configs, progress=progress)
+def run_many(configs, jobs=1):
+    """One-shot convenience: ``Executor(jobs).run(configs)``."""
+    return Executor(jobs=jobs).run(configs)

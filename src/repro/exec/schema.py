@@ -19,13 +19,12 @@ methods:
 - ``config_digest()`` — a stable SHA-256 content digest of the
   canonical form.
 
-The digest is the identity of an experiment: the process-pool executor
-keys its on-disk artifact cache by ``(code version, config digest)``,
-and the parallel-equals-serial tests compare run digests of configs
-shipped to workers as ``to_dict()`` payloads.  Canonicalisation is
-hash-seed independent (sorted keys, sorted set elements) and
-float-exact (``float.hex``), so equal configs digest equal in any
-interpreter.
+The digest is the identity of an experiment: the executor runs
+identical configs once by it, and the parallel-equals-serial tests
+compare run digests of configs shipped to workers as ``to_dict()``
+payloads.  Canonicalisation is hash-seed independent (sorted keys,
+sorted set elements) and float-exact (``float.hex``), so equal configs
+digest equal in any interpreter.
 """
 
 import hashlib
@@ -126,9 +125,8 @@ def to_canonical(value):
 #: Modules that register config classes as an import side effect.
 #: Registration normally happens because the *caller* imported these
 #: before serialising, but a fresh interpreter deserialising a payload
-#: (a spawn pool worker, a cache read) has imported nothing — so an
-#: unknown tag first triggers one pass through this list before it is
-#: an error.
+#: (a spawn pool worker) has imported nothing — so an unknown tag first
+#: triggers one pass through this list before it is an error.
 _REGISTERING_MODULES = (
     "repro.bench.runner",
     "repro.cluster.coordinator",

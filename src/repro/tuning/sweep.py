@@ -37,17 +37,16 @@ class ParameterSweep:
     :class:`~repro.bench.runner.ExperimentConfig` for a candidate value.
 
     Candidates are independent deterministic runs, so the sweep routes
-    through the execution layer: ``jobs > 1`` (or an explicit
-    ``executor``) fans them out across a process pool, with results in
-    candidate order either way.
+    through the execution layer: ``jobs > 1`` fans them out across a
+    process pool, with results in candidate order either way.
     """
 
     def __init__(self, make_config, mean_tolerance=0.10,
-                 throughput_tolerance=0.05, jobs=1, executor=None):
+                 throughput_tolerance=0.05, jobs=1):
         self.make_config = make_config
         self.mean_tolerance = mean_tolerance
         self.throughput_tolerance = throughput_tolerance
-        self.executor = executor if executor is not None else Executor(jobs=jobs)
+        self.executor = Executor(jobs=jobs)
         self.points = []
 
     def run(self, candidates):

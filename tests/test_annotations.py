@@ -127,14 +127,4 @@ class TestTransactionLog:
             ctx.end()
             log.record(ctx, committed=commit)
         assert len(log) == 3
-        assert len(log.committed) == 2
-        assert len(log.latencies()) == 2
-        assert len(log.latencies("a")) == 1
-
-    def test_aborted_excluded_from_latencies(self, sim):
-        log = TransactionLog()
-        ctx = TransactionContext(sim, 1, "t")
-        ctx.begin()
-        ctx.end()
-        log.record(ctx, committed=False)
-        assert log.latencies() == []
+        assert [t.committed for t in log.traces] == [True, True, False]

@@ -97,7 +97,7 @@ class TestProfiledSystem:
     def test_runs_with_instrumented_subset(self):
         system = EngineProfiledSystem(tiny_config())
         log = system.run(frozenset({"do_command"}), probe_cost=0.0)
-        assert len(log) > 0
+        assert len(log.traces) > 0
         assert all(("do_command", "<root>") in t.durations for t in log.traces)
 
     def test_each_call_is_fresh_run(self):

@@ -1,4 +1,4 @@
-"""The execution layer: schema, artifacts, executor, cache.
+"""The execution layer: schema, artifacts, executor.
 
 Three properties carry everything:
 
@@ -12,9 +12,10 @@ Three properties carry everything:
    ``from_dict`` cover all of them — the drift guard below fails the
    moment someone adds a parameter without it round-tripping (the old
    hand-maintained ``replaced()`` dict silently dropped new fields).
-3. **The executor is ``run_experiment``.**  Inline execution, pool
-   execution and cache hits all produce artifacts whose ``run_digest``
-   equals the one computed from a direct ``run_experiment`` call.
+3. **The executor is ``run_experiment``.**  Inline and pool execution
+   both produce artifacts whose ``run_digest`` equals the one computed
+   from a direct ``run_experiment`` call, and an artifact reads every
+   number through ``RunResult``'s own read API.
 """
 
 import pickle
@@ -22,13 +23,14 @@ import pickle
 import pytest
 
 from repro.bench.digest import run_digest, run_payload
-from repro.bench.runner import ExperimentConfig, run_experiment
+from repro.bench.runner import ExperimentConfig, RunResult, run_experiment
 from repro.cluster import Topology
 from repro.engines.mysql import MySQLConfig
 from repro.engines.postgres import PostgresConfig
 from repro.engines.voltdb import VoltDBConfig
 from repro.exec import Executor, config_fields, from_dict, run_many, to_dict
 from repro.exec import executor as executor_module
+from repro.exec.artifact import RunArtifact
 from repro.faults.plan import FaultPlan
 from repro.replication import ReplicationConfig
 from repro.sim.disk import DiskConfig
@@ -210,24 +212,38 @@ def test_valid_workload_kwargs_accepted():
 # ----------------------------------------------------------------------
 
 
+#: Readings written once on RunResult; RunArtifact inherits every one.
+READINGS = (
+    "traces", "committed_count", "latencies", "latencies_of", "summary",
+    "throughput_tps", "shed_txns", "node_metrics_snapshot",
+    "metrics_rollup", "digest",
+)
+
+
 def test_artifact_mirrors_run_result():
     config = tiny(check=True)
     result = run_experiment(config)
     artifact = result.artifact()
-    assert artifact.latencies == result.latencies
+    assert isinstance(artifact, RunResult)
+    assert not set(READINGS) & set(vars(RunArtifact))
+    for name in ("committed_count", "warmup_count", "final_clock",
+                 "dispatch_count", "abort_counts", "failed_counts",
+                 "failed_txns", "fault_counts", "outcome_counts",
+                 "txn_outcomes", "shed_txns", "throughput_tps",
+                 "latencies"):
+        assert getattr(artifact, name) == getattr(result, name), name
+    assert [(t.txn_id, t.latency) for t in artifact.traces] == [
+        (t.txn_id, t.latency) for t in result.traces
+    ]
+    for txn_type in sorted({t.txn_type for t in result.traces}):
+        assert artifact.latencies_of(txn_type) == result.latencies_of(txn_type)
     assert artifact.summary.mean == result.summary.mean
     assert artifact.summary.variance == result.summary.variance
-    assert artifact.throughput_tps == result.throughput_tps
     assert artifact.metrics_snapshot() == result.metrics_snapshot()
     assert artifact.event_log_jsonl() == result.event_log_jsonl()
-    assert artifact.abort_counts == result.abort_counts
-    assert artifact.failed_counts == result.failed_counts
-    assert artifact.fault_counts == result.fault_counts
-    assert artifact.outcome_counts == result.outcome_counts
-    assert artifact.shed_txns == result.shed_txns
     assert artifact.check_report() == result.check_report() == []
     assert artifact.config_digest == config.config_digest()
-    assert run_digest(artifact) == run_digest(result)
+    assert artifact.digest() == result.digest() == run_digest(result)
 
 
 def test_artifact_pickle_round_trip():
@@ -250,14 +266,22 @@ def test_artifact_cluster_stats():
                   workload_kwargs={"warehouses": 8,
                                    "remote_payment_prob": 0.3},
                   num_shards=2)
-    artifact = run_experiment(config).artifact()
+    result = run_experiment(config)
+    artifact = result.artifact()
     stats = artifact.cluster_stats
+    assert stats == result.cluster_stats
     assert stats["single_home_txns"] + stats["cross_shard_txns"] > 0
+    for node_id in (0, 1):
+        assert artifact.node_metrics_snapshot(node_id) == (
+            result.node_metrics_snapshot(node_id)
+        )
+    assert artifact.metrics_rollup() == result.metrics_rollup()
+    assert artifact.digest() == result.digest()
     assert tiny().replaced(n_txns=20).config_digest()  # smoke: replaced chains
 
 
 # ----------------------------------------------------------------------
-# Executor: inline backend, ordering, dedup, cache
+# Executor: inline backend, ordering, dedup
 # ----------------------------------------------------------------------
 
 
@@ -291,43 +315,8 @@ def test_identical_configs_run_once_and_share_artifacts(monkeypatch):
     assert run_digest(artifacts[0]) != run_digest(artifacts[1])
 
 
-def test_cache_hit_skips_execution(monkeypatch, tmp_path):
-    config = tiny()
-    executor = Executor(jobs=1, cache_dir=tmp_path)
-    first = executor.run_one(config)
-
-    def boom(config_data):
-        raise AssertionError("cache should have answered")
-
-    monkeypatch.setattr(executor_module, "_execute", boom)
-    # A fresh executor sharing the directory answers from disk.
-    second = Executor(jobs=1, cache_dir=tmp_path).run_one(config)
-    assert run_digest(second) == run_digest(first)
-    # A different config misses (and would execute -> boom).
-    with pytest.raises(AssertionError, match="cache should have"):
-        Executor(jobs=1, cache_dir=tmp_path).run_one(tiny(seed=999))
-
-
-def test_cache_key_includes_code_version(monkeypatch, tmp_path):
-    config = tiny()
-    executor = Executor(jobs=1, cache_dir=tmp_path)
-    executor.run_one(config)
-    ran = []
-
-    def tracking(config_data):
-        ran.append(config_data["seed"])
-        return ExperimentConfig  # never used; run() stores it blindly
-
-    monkeypatch.setattr(executor_module, "_execute", tracking)
-    monkeypatch.setattr(executor_module, "_CODE_VERSION", "different")
-    Executor(jobs=1, cache_dir=tmp_path).run(configs=[config])
-    assert ran == [config.seed]  # old entry unusable under new code
-
-
-def test_executor_progress_and_validation():
+def test_executor_validation():
     with pytest.raises(ValueError):
         Executor(jobs=0)
-    seen = []
-    run_many([tiny(seed=1), tiny(seed=2)],
-             progress=lambda done, total: seen.append((done, total)))
-    assert seen == [(1, 2), (2, 2)]
+    # An empty sweep returns at once; no pool is ever built for it.
+    assert Executor(jobs=1).run([]) == Executor(jobs=4).run([]) == []

@@ -255,7 +255,7 @@ class TestFaultClasses:
         assert counters["faults.io_errors"] == result.sim.faults.io_errors
         assert counters.get("wal.redo.io_retries", 0) > 0
         # Retries preserved durability: every injected error was absorbed.
-        assert len(result.log.committed) == len(result.log)
+        assert result.committed_count == len(result.log)
 
     def test_io_errors_retried_by_pg_wal(self):
         result = run_experiment(
@@ -266,7 +266,7 @@ class TestFaultClasses:
         assert result.sim.faults.io_errors > 0
         counters = result.metrics_snapshot()["counters"]
         assert counters.get("wal.wal.io_retries", 0) > 0
-        assert len(result.log.committed) == len(result.log)
+        assert result.committed_count == len(result.log)
 
     def test_worker_crashes_recovered(self):
         result = run_experiment(
@@ -277,7 +277,7 @@ class TestFaultClasses:
         assert snapshot["counters"]["faults.worker_crashes"] > 0
         assert "faults.worker_restart_time" in snapshot["histograms"]
         # Crashes delay transactions; they never lose them.
-        assert len(result.log.committed) == len(result.log)
+        assert result.committed_count == len(result.log)
         assert sum(w.crashes for w in result.engine.workers) == (
             result.sim.faults.worker_crashes
         )
@@ -294,7 +294,7 @@ class TestFaultClasses:
         )
         assert result.abort_counts.get("timeout", 0) > 0
         # The unified retry loop recovered most of them.
-        assert len(result.log.committed) >= 0.9 * len(result.log)
+        assert result.committed_count >= 0.9 * len(result.log)
 
     def test_burst_sheds_when_queue_bounded(self):
         """An arrival burst against a bounded queue sheds load instead of
@@ -315,9 +315,11 @@ class TestFaultClasses:
         assert result.failed_counts.get("shed", 0) == result.shed_txns
         counter = result.metrics_snapshot()["counters"]["mysql.txns_shed"]
         assert counter == result.shed_txns
-        # Shed transactions still appear in the log as uncommitted.
+        # Shed transactions still appear in the log as uncommitted, and
+        # stay out of the measurement set.
         assert len(result.log) == n
-        assert len(result.log.committed) == n - result.failed_txns
+        assert all(t.committed for t in result.traces)
+        assert result.committed_count == n - result.failed_txns
 
     def test_deadline_gives_up_stale_transactions(self):
         result = run_experiment(
