@@ -11,10 +11,10 @@ covering the run's full observable output (exact latency sequence,
 final virtual clock, metrics snapshot, abort/failure/fault counts —
 see ``repro.bench.digest``).
 
-Also writes ``tests/goldens/traced_digests.json``: the traced chains
-at TProfiler's probe cost, one :func:`trace_digest` per
+Also writes ``tests/goldens/traced_digests.json``: probed runs at
+TProfiler's probe cost, one :func:`trace_digest` per
 :func:`traced_golden_configs` cell.  Every other golden runs
-unprobed, and the fast-vs-traced checks run at ``probe_cost=0`` and
+unprobed, and the probed-vs-unprobed checks run at ``probe_cost=0`` and
 compare only ``run_digest``, which carries no trace attribution; these
 cells pin the probe-cost yields and the factor keys (function, site)
 that every profile is built from.

@@ -156,39 +156,48 @@ class PostgresEngine(Engine):
     # ------------------------------------------------------------------
 
     def _attempt(self, worker, ctx, spec):
-        """One attempt (returns a generator); retries run in the base loop.
-
-        The engine has one flat and one traced statement body, and each
-        serves both attempts and 2PC branches (``_branch_execute``).
-        Unless a function of ``postgres_callgraph()`` is instrumented,
-        every ``tracer.traced`` call in the delegation chain below is a
-        passthrough, so the whole chain can run in one generator frame:
-        ``_postgres_execute_fast`` performs the identical yields, RNG
-        draws and state mutations without the per-statement frame churn.
-        Subsystem frames (cluster, replication, recovery) are recorded
-        outside this chain and never close the gate.  The traced chain is
-        authoritative — the fast path must mirror it exactly (the
-        fast-vs-traced digest tests pin this byte for byte).
-        """
-        if not self.tracer.engine_probed:
-            return self._postgres_execute_fast(ctx, spec.ops)
-        traced = self.tracer.traced
-        return traced(ctx, "exec_simple_query", traced(
-            ctx, "PortalRun", self._portal_run(ctx, spec.ops),
-        ))
+        """One attempt (returns a generator); retries run in the base loop."""
+        return self._postgres_execute_fast(ctx, spec.ops)
 
     def _postgres_execute_fast(self, ctx, ops, branch=None):
-        """The uninstrumented statement loop in a single generator frame.
+        """Generator: the engine's one statement body; True on success.
 
-        Flattens ``_portal_run -> _executor_run`` /
-        ``_commit_transaction`` with all ``tracer.traced`` passthroughs
-        removed, ``branch`` handled as there.  Yield sequence, RNG draw
-        order and lock-manager calls are identical to the traced chain;
-        only Python-level frame and call overhead differs.  The lock
-        protocol, WAL commit and the replication barrier stay as ``yield
-        from`` — they are shared subsystems with their own internal
-        state, not per-statement overhead.
+        Serves attempts and, with ``branch`` set, 2PC branches, probed
+        or not.  An attempt commits and releases its locks, or releases
+        them on abort.  A branch stops after the statements, stores the
+        redo bytes and predicate-lock count on ``branch`` and releases
+        nothing: locks stay held until the global decision
+        (``Engine._run_branch``).
+
+        Probed functions of ``postgres_callgraph()`` open spans
+        (``Tracer.enter`` / ``Tracer.exit``) where the server's call
+        graph has them, so the body stays one generator frame deep.  A
+        branch runs outside ``exec_simple_query`` and ``PortalRun``, so
+        its statement spans keep the ``<root>`` site.  The lock
+        protocol, WAL commit and the replication barrier stay ``yield
+        from``: they are shared subsystems with their own state and
+        their own ``traced()`` frames (``ProcSleep``,
+        ``LWLockAcquireOrWait``, ``XLogWrite``).
         """
+        tracer = self.tracer
+        enter = tracer.enter
+        exit_ = tracer.exit
+        cost = tracer.probe_cost
+        # Subsystem-only runs test no name.
+        probed = tracer.instrumented if tracer.engine_probed else ()
+        span_query = branch is None and "exec_simple_query" in probed
+        span_portal = branch is None and "PortalRun" in probed
+        span_executor = "ExecutorRun" in probed
+        span_index = "index_fetch" in probed
+        span_predicate = "PredicateLockTuple" in probed
+        span_heap = "heap_lock_tuple" in probed
+        span_lock = "LockAcquireExtended" in probed
+        wait = self._proc_sleep if "ProcSleep" in probed else None
+        span_commit = "CommitTransaction" in probed
+        span_record = "RecordTransactionCommit" in probed
+        span_flush = "XLogFlush" in probed
+        span_release = "ReleasePredicateLocks" in probed
+
         config = self.config
         statement_cpu = config.statement_cpu
         predicate_lock_cpu = config.predicate_lock_cpu
@@ -202,27 +211,87 @@ class PostgresEngine(Engine):
         mode_x = LockMode.X
         granted = RequestStatus.GRANTED
 
+        if span_query:
+            enter(ctx, "exec_simple_query")
+            if cost:
+                yield cost
+        if span_portal:
+            enter(ctx, "PortalRun")
+            if cost:
+                yield cost
         predicate_locks = 0
         redo_bytes = 0
         for op in ops:
             table = tables[op.table]
-            # _executor_run: per-statement CPU then the index descent.
+            if span_executor:
+                enter(ctx, "ExecutorRun")
+                if cost:
+                    yield cost
             yield statement_cpu
+            if span_index:
+                enter(ctx, "index_fetch")
+                if cost:
+                    yield cost
             yield sample(rng)
+            if span_index:
+                if cost:
+                    yield cost
+                exit_(ctx)
             lock = op.lock
             kind = op.kind
             if kind == "select":
                 # Serializable reads register SIREAD predicate locks.
                 predicate_locks += 1
+                if span_predicate:
+                    enter(ctx, "PredicateLockTuple")
+                    if cost:
+                        yield cost
                 yield predicate_lock_cpu
+                if span_predicate:
+                    if cost:
+                        yield cost
+                    exit_(ctx)
             if lock is not None or kind in ("update", "insert"):
+                lock_id = table.lock_id(op.key)
+                if span_heap:
+                    enter(ctx, "heap_lock_tuple")
+                    if cost:
+                        yield cost
+                if span_lock:
+                    enter(ctx, "LockAcquireExtended")
+                    if cost:
+                        yield cost
                 status = yield from acquire(
-                    ctx, table.lock_id(op.key), mode_s if lock == "S" else mode_x
+                    ctx, lock_id, mode_s if lock == "S" else mode_x, wait
                 )
+                if span_lock:
+                    if cost:
+                        yield cost
+                    exit_(ctx)
+                if span_heap:
+                    if cost:
+                        yield cost
+                    exit_(ctx)
                 if status is not granted:
+                    if span_executor:
+                        if cost:
+                            yield cost
+                        exit_(ctx)
                     if branch is None:
                         lockmgr.release_all(ctx)
+                    if span_portal:
+                        if cost:
+                            yield cost
+                        exit_(ctx)
+                    if span_query:
+                        if cost:
+                            yield cost
+                        exit_(ctx)
                     return False
+            if span_executor:
+                if cost:
+                    yield cost
+                exit_(ctx)
             redo_bytes += table.redo_bytes(kind)
             if check.enabled:
                 check.record_op(ctx, op, lock is not None)
@@ -230,10 +299,36 @@ class PostgresEngine(Engine):
             branch.redo_bytes = redo_bytes
             branch.predicate_locks = predicate_locks
             return True
-        # _commit_transaction, inlined.
+        if span_commit:
+            enter(ctx, "CommitTransaction")
+            if cost:
+                yield cost
         yield config.commit_cpu
         if redo_bytes:
+            # Read-only transactions write no commit record and never
+            # touch the WALWriteLock.
+            if span_record:
+                enter(ctx, "RecordTransactionCommit")
+                if cost:
+                    yield cost
+            if span_flush:
+                enter(ctx, "XLogFlush")
+                if cost:
+                    yield cost
             yield from self.wal.commit(ctx, redo_bytes)
+            if span_flush:
+                if cost:
+                    yield cost
+                exit_(ctx)
+            if span_record:
+                if cost:
+                    yield cost
+                exit_(ctx)
+        # ReleasePredicateLocks opens even when no predicate lock is held.
+        if span_release:
+            enter(ctx, "ReleasePredicateLocks")
+            if cost:
+                yield cost
         if predicate_locks:
             yield predicate_locks * config.predicate_release_cpu
             conflict_prob = config.predicate_conflict_prob
@@ -241,81 +336,30 @@ class PostgresEngine(Engine):
             for _ in range(predicate_locks):
                 if rng.random() < conflict_prob:
                     yield conflict_cpu
-        repl = self.replication
-        if repl is not None and redo_bytes:
-            yield from repl.commit_barrier(ctx, redo_bytes)
-        lockmgr.release_all(ctx)
-        return True
-
-    def _portal_run(self, ctx, ops, branch=None):
-        """Generator: the traced statement loop; True on success.
-
-        An attempt commits and releases its locks, or releases them on
-        abort.  With a ``branch`` the loop stops after the statements,
-        stores the redo bytes and predicate-lock count on the branch and
-        releases nothing: locks stay held until the global decision
-        (``Engine._run_branch``).
-        """
-        predicate_locks = 0
-        redo_bytes = 0
-        check = self.check
-        for op in ops:
-            table = self.catalog[op.table]
-            ok, locks = yield from self.tracer.traced(
-                ctx, "ExecutorRun", self._executor_run(ctx, op, table)
-            )
-            if not ok:
-                if branch is None:
-                    self.lockmgr.release_all(ctx)
-                return False
-            predicate_locks += locks
-            redo_bytes += table.redo_bytes(op.kind)
-            if check.enabled:
-                check.record_op(ctx, op, op.lock is not None)
-        if branch is not None:
-            branch.redo_bytes = redo_bytes
-            branch.predicate_locks = predicate_locks
-            return True
-        yield from self.tracer.traced(
-            ctx,
-            "CommitTransaction",
-            self._commit_transaction(ctx, redo_bytes, predicate_locks),
-        )
+        if span_release:
+            if cost:
+                yield cost
+            exit_(ctx)
+        if span_commit:
+            if cost:
+                yield cost
+            exit_(ctx)
         repl = self.replication
         if repl is not None and redo_bytes:
             # Synchronous-replication semantics: the ack wait happens
             # with locks still held (PostgreSQL releases at true commit
             # return), so replication latency stretches lock hold times.
             yield from repl.commit_barrier(ctx, redo_bytes)
-        self.lockmgr.release_all(ctx)
+        lockmgr.release_all(ctx)
+        if span_portal:
+            if cost:
+                yield cost
+            exit_(ctx)
+        if span_query:
+            if cost:
+                yield cost
+            exit_(ctx)
         return True
-
-    def _executor_run(self, ctx, op, table):
-        """Generator: one statement.  Evaluates to (ok, predicate_locks)."""
-        traced = self.tracer.traced
-        yield self.config.statement_cpu
-        yield from traced(ctx, "index_fetch", self._index_fetch())
-        locks = 0
-        if op.kind == "select":
-            # Serializable reads register SIREAD predicate locks.
-            locks = 1
-            yield from traced(ctx, "PredicateLockTuple", self._predicate_lock())
-        if op.lock is not None or op.kind in ("update", "insert"):
-            mode = LockMode.S if op.lock == "S" else LockMode.X
-            status = yield from traced(ctx, "heap_lock_tuple", traced(
-                ctx, "LockAcquireExtended", self.lockmgr.acquire(
-                    ctx, table.lock_id(op.key), mode, self._proc_sleep,
-                ),
-            ))
-            if status is not RequestStatus.GRANTED:
-                return False, locks
-        return True, locks
-
-    def _index_fetch(self):
-        yield self._index_cpu.sample(self.rng)
-
-    def _predicate_lock(self):
-        yield self.config.predicate_lock_cpu
 
     def _proc_sleep(self, request):
         """The lock protocol's wait hook: suspend inside ``ProcSleep``."""
@@ -326,21 +370,6 @@ class PostgresEngine(Engine):
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
-
-    def _commit_transaction(self, ctx, redo_bytes, predicate_locks):
-        traced = self.tracer.traced
-        yield self.config.commit_cpu
-        if redo_bytes:
-            # Read-only transactions write no commit record and never
-            # touch the WALWriteLock.
-            yield from traced(ctx, "RecordTransactionCommit", traced(
-                ctx, "XLogFlush", self.wal.commit(ctx, redo_bytes),
-            ))
-        yield from traced(
-            ctx,
-            "ReleasePredicateLocks",
-            self._release_predicate_locks(predicate_locks),
-        )
 
     def _release_predicate_locks(self, count):
         """Release SIREAD locks; cost varies with conflicts discovered."""
@@ -359,16 +388,10 @@ class PostgresEngine(Engine):
     TWOPHASE_RECORD_BYTES = 64
 
     def _branch_execute(self, worker, ctx, branch):
-        """One participant slice (returns a generator), gated as ``_attempt``.
-
-        The attempt's statement bodies with ``branch`` set: no commit
-        and no lock release.  The traced body runs outside the
-        ``exec_simple_query`` frames, so a branch's statement frames keep
-        their ``<root>`` site.
-        """
-        if not self.tracer.engine_probed:
-            return self._postgres_execute_fast(ctx, branch.spec.ops, branch)
-        return self._portal_run(ctx, branch.spec.ops, branch)
+        """One participant slice (returns a generator): the attempt's
+        statement body with ``branch`` set, so no commit and no lock
+        release."""
+        return self._postgres_execute_fast(ctx, branch.spec.ops, branch)
 
     def _branch_prepare(self, ctx, branch):
         # PREPARE TRANSACTION: flush the branch's WAL plus the two-phase

@@ -7,11 +7,11 @@ reproduce its digest byte for byte: same (config, seed) ⇒ identical
 latency sequence, final clock, metrics snapshot and abort/fault counts,
 no matter what wall-clock fast paths the kernel or engines grow.
 
-``tests/goldens/traced_digests.json`` pins the traced chains at
-TProfiler's probe cost (0.05 µs): its digests add every trace's
-per-factor ``durations`` and ``under`` maps to the run payload, so a
-moved probe yield or site label fails here even though zero-cost
-probes would hide it.
+``tests/goldens/traced_digests.json`` pins probed runs at TProfiler's
+probe cost (0.05 µs), spans and traced chains alike: its digests add
+every trace's per-factor ``durations`` and ``under`` maps to the run
+payload, so a moved probe yield or site label fails here even though
+zero-cost probes would hide it.
 
 Regenerate with ``scripts/gen_equivalence_goldens.py`` — but only for
 an intentional *semantic* change to the simulation, never to make a
@@ -127,13 +127,14 @@ ZERO_COST_CASES = {
 
 @pytest.mark.parametrize("name", sorted(ZERO_COST_CASES))
 def test_zero_cost_instrumentation_is_invisible(name):
-    """Each engine's flat statement body vs its traced chain.
+    """Each engine's unprobed run vs its fully probed run.
 
     With every function of the engine's call graph probed at
-    ``probe_cost=0`` the traced chain must produce a byte-identical run
-    to the flat body: instrumentation may only add its probe cost,
-    never change scheduling.  The sharded cases run 2PC branches
-    through both bodies; the oracles must stay clean.
+    ``probe_cost=0`` (MySQL's traced chain, Postgres's spans, VoltDB's
+    records) the run must be byte-identical to the unprobed one:
+    instrumentation may only add its probe cost, never change
+    scheduling.  The sharded cases run 2PC branches both ways; the
+    oracles must stay clean.
     """
     base, graph = ZERO_COST_CASES[name]
     run = run_experiment(base)
@@ -141,6 +142,6 @@ def test_zero_cost_instrumentation_is_invisible(name):
         base.replaced(instrumented=frozenset(graph.functions), probe_cost=0.0)
     )
     assert run_digest(run) == run_digest(traced), (
-        "%s: flat body drifted from the traced chain" % name
+        "%s: the probed run drifted from the unprobed one" % name
     )
     assert run.check_report() in (None, []), run.check_report()

@@ -1,11 +1,12 @@
-"""Differential testing: engine flat statement bodies vs the traced chains.
+"""Differential testing: each engine's statement body, probed vs unprobed.
 
-MySQL and Postgres each carry one flat statement body (``*_execute_fast``,
-a single generator frame, used unless a function of the engine's call
-graph is instrumented) and one traced delegation chain through
-:meth:`Tracer.traced`; each body serves both single-node attempts and 2PC
-participant branches.  VoltDB has one body, ``_execute``, whose trace
-records run only while it is probed.  Hypothesis generates random
+MySQL carries one flat statement body (``_mysql_execute_fast``, a
+single generator frame, used unless a function of its call graph is
+instrumented) and one traced delegation chain through
+:meth:`Tracer.traced`; each serves both single-node attempts and 2PC
+participant branches.  Postgres and VoltDB have one body each, which
+opens its probe spans (``Tracer.enter`` / ``Tracer.exit``; VoltDB's
+trace records) only while probed.  Hypothesis generates random
 programs — benchmark, seed, arrival rate, worker count and the run mode
 (shards, replicas and their mode, a node crash, the history recorder) —
 and runs each one twice: once uninstrumented and once with every
@@ -14,17 +15,20 @@ Zero-cost probes may not change anything observable, so the full run
 digests — latency sequence, final clock, metrics snapshot, abort/fault
 counts — must be byte-identical, and so must the oracle reports.
 
-Each pair also checks that the two runs really took different bodies,
-or a gate that silently closed would compare traced with traced: the
-untraced run must call the flat body, for every branch it executed too,
-and the probed run must not; VoltDB's probed run must carry
-``execute_procedure`` durations and its untraced run none.  Two-shard
-programs run TPC-C with cross-shard Payments, so 2PC rounds happen.
+Each pair also checks that probing really engaged, or a gate that
+silently stayed shut would compare unprobed with unprobed.  MySQL's
+untraced run must call the flat body, for every branch it executed
+too, and its probed run must not.  For the one-body engines the probed
+run's traces must carry the body's frames (Postgres's
+``exec_simple_query`` and ``ExecutorRun``, VoltDB's
+``execute_procedure``) and the untraced run's no call-graph name.
+Two-shard programs run TPC-C with cross-shard Payments, so 2PC rounds
+happen.
 
-The gate is exact only if nothing an engine records bypasses its call
-graph: the last test pins that every name traced or recorded in a
-probed clustered, replicated, crashing run is either an engine function
-or a subsystem frame, which never closes the gate.
+Every name an engine opens, traces or records must be either an engine
+function or a subsystem frame, which never opens an engine span: the
+last test pins this in a probed clustered, replicated, crashing run,
+and that every call-graph name is seen there.
 
 This is the engine-level analogue of ``test_kernel_differential``: the
 goldens pin a handful of fixed macro cells, these tests walk the
@@ -52,17 +56,19 @@ from repro.recovery import RECOVERY_FRAMES
 from repro.replication import REPLICATION_FRAMES, ReplicationConfig
 
 #: engine -> (every function of its call graph, class, flat statement
-#: body; None for VoltDB, whose one body is ``_execute``)
+#: body; None for the engines with one body)
 ENGINES = {
     "mysql": (
         frozenset(mysql_callgraph().functions), MySQLEngine,
         "_mysql_execute_fast",
     ),
-    "postgres": (
-        frozenset(postgres_callgraph().functions), PostgresEngine,
-        "_postgres_execute_fast",
-    ),
+    "postgres": (frozenset(postgres_callgraph().functions), PostgresEngine, None),
     "voltdb": (frozenset(voltdb_callgraph().functions), VoltDBEngine, None),
+}
+#: one-body engine -> the names its probed run must record
+ENGAGED = {
+    "postgres": ("exec_simple_query", "ExecutorRun"),
+    "voltdb": ("execute_procedure",),
 }
 SUBSYSTEM_FRAMES = frozenset(DIST_FRAMES + REPLICATION_FRAMES + RECOVERY_FRAMES)
 
@@ -95,7 +101,7 @@ def _config(engine, engine_config, workload, seed, n_txns, rate, crash,
             check, num_shards=1, replicas=0, mode=None):
     name, kwargs = workload
     if num_shards > 1:
-        # Cross-shard Payments, so 2PC branches run through both bodies.
+        # Cross-shard Payments, so 2PC branches run, probed and unprobed.
         name, kwargs = "tpcc", {"warehouses": 2, "remote_payment_prob": 0.3}
     fault_plan = None
     if crash is not None:
@@ -121,7 +127,7 @@ def _config(engine, engine_config, workload, seed, n_txns, rate, crash,
 def _assert_fast_matches_traced(config):
     probes, engine_cls, flat_name = ENGINES[config.engine]
     if flat_name is None:
-        _assert_one_body_matches_probed(config, probes)
+        _assert_one_body_matches_probed(config, probes, ENGAGED[config.engine])
         return
     flat, branch_execute = getattr(engine_cls, flat_name), engine_cls._branch_execute
     calls = {"flat": 0, "flat_branch": 0, "branch": 0}
@@ -154,20 +160,18 @@ def _assert_fast_matches_traced(config):
     assert fast.check_report() == traced.check_report()
 
 
-def _execute_procedure_traced(result):
-    return any(
-        name == "execute_procedure"
-        for trace in result.traces
-        for name, _site in trace.durations
-    )
+def _traced_names(result):
+    return {name for trace in result.traces for name, _site in trace.durations}
 
 
-def _assert_one_body_matches_probed(config, probes):
-    """VoltDB: its one body records only while probed."""
+def _assert_one_body_matches_probed(config, probes, engaged):
+    """A one-body engine records its frames only while probed."""
     fast = run_experiment(config)
     traced = run_experiment(config.replaced(instrumented=probes, probe_cost=0.0))
-    assert not _execute_procedure_traced(fast), "the untraced run recorded"
-    assert _execute_procedure_traced(traced), "the probed run never recorded"
+    recorded = _traced_names(fast) & probes
+    assert not recorded, "the untraced run recorded %s" % sorted(recorded)
+    missing = set(engaged) - _traced_names(traced)
+    assert not missing, "the probed run never recorded %s" % sorted(missing)
     assert run_digest(fast) == run_digest(traced)
     assert fast.check_report() == traced.check_report()
 
@@ -215,24 +219,24 @@ def test_every_traced_name_is_in_the_call_graph_or_a_subsystem_frame(
     engine, monkeypatch
 ):
     """The gate's invariant: a name outside both sets would be recorded
-    by the traced chain but silently dropped whenever the flat loop runs.
-    The clustered engines run 2 shards with a replica each, a node crash
-    and a coordinator crash (which leaves a branch in doubt); VoltDB
-    hosts no cluster, so its run is a single-node crash."""
+    while probed but silently dropped whenever the engine runs
+    unprobed (MySQL's flat loop, a span body with its spans shut).
+    Every call-graph name must be seen, or a frame the body stopped
+    opening would go unnoticed.  The clustered engines run 2 shards with
+    a replica each, a node crash and a coordinator crash (which leaves a
+    branch in doubt); VoltDB hosts no cluster, so its run is a
+    single-node crash."""
     probes = ENGINES[engine][0]
     seen = set()
-    traced, record = Tracer.traced, Tracer.record
 
-    def spy_traced(self, ctx, name, *args, **kwargs):
-        seen.add(name)
-        return traced(self, ctx, name, *args, **kwargs)
+    def spy(method):
+        def spied(self, ctx, name, *args, **kwargs):
+            seen.add(name)
+            return method(self, ctx, name, *args, **kwargs)
+        return spied
 
-    def spy_record(self, ctx, name, *args, **kwargs):
-        seen.add(name)
-        return record(self, ctx, name, *args, **kwargs)
-
-    monkeypatch.setattr(Tracer, "traced", spy_traced)
-    monkeypatch.setattr(Tracer, "record", spy_record)
+    for name in ("traced", "enter", "record"):
+        monkeypatch.setattr(Tracer, name, spy(getattr(Tracer, name)))
     if engine == "voltdb":
         crashes, cluster = ((0, 200_000.0),), {}
     else:
@@ -253,4 +257,5 @@ def test_every_traced_name_is_in_the_call_graph_or_a_subsystem_frame(
         **cluster,
     ))
     assert seen - probes - SUBSYSTEM_FRAMES == set()
-    assert seen & probes and seen & SUBSYSTEM_FRAMES
+    assert probes - seen == set()
+    assert seen & SUBSYSTEM_FRAMES

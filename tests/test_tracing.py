@@ -5,7 +5,7 @@ import pytest
 from repro.core.annotations import TransactionContext, TransactionLog
 from repro.core.callgraph import CallGraph
 from repro.core.tracing import Tracer
-from repro.sim.kernel import Timeout
+from repro.sim.kernel import Simulator, Timeout
 
 
 @pytest.fixture
@@ -263,3 +263,152 @@ def test_end_transaction_records_to_log(sim, graph):
     sim.run()
     assert len(tracer.log) == 1
     assert not tracer.log.traces[0].committed
+
+
+# ----------------------------------------------------------------------
+# Spans: Tracer.enter / Tracer.exit inside one generator body
+# ----------------------------------------------------------------------
+
+
+def _span_open(tracer, ctx, name):
+    """What an engine body does at a probed function's entry."""
+    if name in tracer.instrumented:
+        tracer.enter(ctx, name)
+        if tracer.probe_cost:
+            yield tracer.probe_cost
+
+
+def _span_close(tracer, ctx, name):
+    """... and at its exit."""
+    if name in tracer.instrumented:
+        if tracer.probe_cost:
+            yield tracer.probe_cost
+        tracer.exit(ctx)
+
+
+def _traced_program(tracer, ctx):
+    """root -> child (twice) -> grandchild as nested traced generators."""
+
+    def grandchild():
+        yield Timeout(2.0)
+
+    def child():
+        yield Timeout(1.0)
+        yield from tracer.traced(ctx, "grandchild", grandchild())
+        yield Timeout(1.5)
+
+    def root():
+        yield Timeout(3.0)
+        yield from tracer.traced(ctx, "child", child())
+        yield from tracer.traced(ctx, "child", child())
+
+    yield from tracer.traced(ctx, "root", root())
+
+
+def _span_program(tracer, ctx):
+    """The same program as one body opening spans."""
+    yield from _span_open(tracer, ctx, "root")
+    yield Timeout(3.0)
+    for _ in range(2):
+        yield from _span_open(tracer, ctx, "child")
+        yield Timeout(1.0)
+        yield from _span_open(tracer, ctx, "grandchild")
+        yield Timeout(2.0)
+        yield from _span_close(tracer, ctx, "grandchild")
+        yield Timeout(1.5)
+        yield from _span_close(tracer, ctx, "child")
+    yield from _span_close(tracer, ctx, "root")
+
+
+def _span_root_traced_child(tracer, ctx):
+    """A root span whose children are traced frames."""
+
+    def grandchild():
+        yield Timeout(2.0)
+
+    def child():
+        yield Timeout(1.0)
+        yield from tracer.traced(ctx, "grandchild", grandchild())
+        yield Timeout(1.5)
+
+    yield from _span_open(tracer, ctx, "root")
+    yield Timeout(3.0)
+    for _ in range(2):
+        yield from tracer.traced(ctx, "child", child())
+    yield from _span_close(tracer, ctx, "root")
+
+
+def _traced_root_span_child(tracer, ctx):
+    """A traced root whose body opens the child spans, whose own
+    grandchild is a traced frame again."""
+
+    def grandchild():
+        yield Timeout(2.0)
+
+    def root():
+        yield Timeout(3.0)
+        for _ in range(2):
+            yield from _span_open(tracer, ctx, "child")
+            yield Timeout(1.0)
+            yield from tracer.traced(ctx, "grandchild", grandchild())
+            yield Timeout(1.5)
+            yield from _span_close(tracer, ctx, "child")
+
+    yield from tracer.traced(ctx, "root", root())
+
+
+def _observe(program, graph, instrumented, probe_cost):
+    sim = Simulator()
+    tracer = make_tracer(sim, graph, instrumented, probe_cost)
+    ctx = TransactionContext(sim, 1, "t")
+
+    def proc():
+        tracer.begin_transaction(ctx)
+        yield from program(tracer, ctx)
+        tracer.end_transaction(ctx)
+
+    sim.spawn(proc())
+    sim.run()
+    return ctx.durations, ctx.under, tracer.probe_firings, sim.now
+
+
+@pytest.mark.parametrize("probe_cost", [0.05, 0.0])
+@pytest.mark.parametrize(
+    "instrumented",
+    [{"root", "child", "grandchild"}, {"root", "grandchild"}, {"child"}],
+    ids=["all", "skip-middle", "child-only"],
+)
+@pytest.mark.parametrize(
+    "program",
+    [_span_program, _span_root_traced_child, _traced_root_span_child],
+    ids=["spans", "span-around-traced", "traced-around-span"],
+)
+def test_spans_record_what_traced_frames_record(
+    graph, instrumented, probe_cost, program
+):
+    """Same durations, under maps, site keys, probe firings and clock,
+    float for float, as the nested traced generators."""
+    want = _observe(_traced_program, graph, instrumented, probe_cost)
+    got = _observe(program, graph, instrumented, probe_cost)
+    assert got == want
+    durations, under, firings, _now = got
+    calls = {"root": 1, "child": 2, "grandchild": 2}
+    assert firings == (2 * sum(calls[name] for name in instrumented)
+                       if probe_cost else 0)
+    if instrumented == {"root", "grandchild"}:
+        # The skipped middle level: grandchild's site is root.
+        assert sorted(durations) == [("grandchild", "root"), ("root", "<root>")]
+        assert list(under) == [("root", "<root>")]
+
+
+def test_exit_with_no_open_frame_raises(sim, graph):
+    tracer = make_tracer(sim, graph, instrumented={"root"})
+    ctx = TransactionContext(sim, 1, "t")
+    with pytest.raises(RuntimeError):
+        tracer.exit(ctx)
+    tracer.enter(ctx, "root")
+    tracer.exit(ctx)
+    with pytest.raises(RuntimeError):
+        tracer.exit(ctx)
+    assert ctx.durations == {("root", "<root>"): 0.0}
+
