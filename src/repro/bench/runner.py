@@ -213,21 +213,16 @@ class RunResult:
             "cross_shard_txns": engine.cross_shard_txns,
         }
 
-    @property
-    def metrics(self):
-        """The run's :class:`MetricsRegistry` (null when disabled)."""
-        return self.sim.telemetry
-
     def metrics_snapshot(self):
         """The metrics report for this run: plain JSON-serialisable dicts.
 
         Empty when the run was configured with ``telemetry=False``.
         """
-        return self.metrics.snapshot()
+        return self.sim.telemetry.snapshot()
 
     def event_log_jsonl(self):
         """The structured event log as JSON lines (empty when disabled)."""
-        return self.metrics.events.to_jsonl()
+        return self.sim.telemetry.events.to_jsonl()
 
     def node_metrics_snapshot(self, node_id):
         """One node's slice of the metrics, with the label stripped.

@@ -120,8 +120,9 @@ class Tracer:
             result = yield from subgen
         except BaseException:
             # Exit only while this frame is innermost.  A node crash
-            # empties an abandoned transaction's stack
-            # (``Engine._crash_txn``), so when its dead worker is
+            # empties an abandoned transaction's stack, and a 2PC
+            # branch's unless it is left in doubt (``Engine._crash_txn``,
+            # ``Engine._crash_item``), so when its dead worker is
             # finalised this frame is already gone: nothing to exit.
             if ctx.stack and ctx.stack[-1] is frame:
                 self.exit(ctx)

@@ -16,8 +16,6 @@ child's contribution, raw variance cannot identify root causes — that is
 why scoring (``repro.core.scoring``) combines variance with specificity.
 """
 
-import numpy as np
-
 from repro.sim.stats import covariance
 
 
@@ -88,6 +86,8 @@ class VarianceTree:
     """Variance analysis over a set of finished transaction traces."""
 
     def __init__(self, traces):
+        import numpy as np
+
         self.traces = [t for t in traces if t.committed]
         if not self.traces:
             raise ValueError("variance tree needs at least one committed trace")
@@ -96,6 +96,8 @@ class VarianceTree:
         self._factor_samples = self._collect_factors()
 
     def _collect_factors(self):
+        import numpy as np
+
         keys = set()
         for trace in self.traces:
             keys.update(trace.durations)
@@ -158,6 +160,8 @@ class VarianceTree:
 
     def decompose(self, parent_key):
         """Break ``parent_key`` into body + children components (eq. 1)."""
+        import numpy as np
+
         if parent_key not in self._factor_samples:
             raise KeyError("factor %r was not instrumented" % (parent_key,))
         parent = self.node(parent_key)

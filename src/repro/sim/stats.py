@@ -5,11 +5,13 @@ deviation, coefficient of variation, 99th-percentile latency, and the Lp
 norm that VATS provably minimises (Section 5.1, eq. 4).  Population
 (ddof=0) moments are used throughout, matching the variance-tree identity
 Var(sum) = sum Var + 2 sum Cov exactly on finite samples.
+
+numpy is imported inside the functions that compute with it, so a
+process that only simulates (``import repro``, a ``repro.exec`` pool
+worker) never loads it.
 """
 
 import math
-
-import numpy as np
 
 
 def _as_sample(values, what):
@@ -20,6 +22,8 @@ def _as_sample(values, what):
     silently wrong figure several layers up — every public helper here
     fails fast instead.
     """
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("%s of empty sample" % (what,))
@@ -39,6 +43,8 @@ def lp_norm(values, p=2.0, normalized=False):
     when comparing schedulers on runs with slightly different completion
     counts).
     """
+    import numpy as np
+
     arr = _as_sample(values, "lp_norm")
     if p < 1.0:
         raise ValueError("Lp norm requires p >= 1, got %r" % (p,))
@@ -51,6 +57,8 @@ def lp_norm(values, p=2.0, normalized=False):
 
 def covariance(xs, ys):
     """Population covariance of two equal-length samples."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape:
@@ -64,6 +72,8 @@ def covariance(xs, ys):
 
 def correlation(xs, ys):
     """Pearson correlation; 0.0 if either sample is constant."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape:
@@ -77,87 +87,6 @@ def correlation(xs, ys):
     if sx == 0.0 or sy == 0.0:
         return 0.0
     return float(covariance(xs, ys) / (sx * sy))
-
-
-class RunningMoments:
-    """Streaming count/mean/variance with an amortised insert path.
-
-    ``add`` appends to a small buffer; every ``chunk`` values the buffer
-    is folded into the running moments with one vectorised pass plus a
-    Chan et al. parallel combine.  ``mean``/``variance`` flush first, so
-    reads always reflect every inserted value.  Population (ddof=0)
-    variance, matching the rest of this module.
-    """
-
-    __slots__ = ("_count", "_mean", "_m2", "_pending", "_chunk")
-
-    def __init__(self, chunk=1024):
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._pending = []
-        self._chunk = int(chunk)
-
-    def add(self, value):
-        """Insert one value (amortised O(1), vectorised on flush)."""
-        value = float(value)
-        if math.isnan(value):
-            raise ValueError("RunningMoments cannot accept NaN")
-        pending = self._pending
-        pending.append(value)
-        if len(pending) >= self._chunk:
-            self._flush()
-
-    def extend(self, values):
-        """Insert a batch of values."""
-        for value in values:
-            self.add(value)
-
-    def _flush(self):
-        pending = self._pending
-        if not pending:
-            return
-        arr = np.asarray(pending, dtype=float)
-        del pending[:]
-        n_b = arr.size
-        mean_b = float(arr.mean())
-        m2_b = float(((arr - mean_b) ** 2).sum())
-        n_a = self._count
-        if n_a == 0:
-            self._count, self._mean, self._m2 = n_b, mean_b, m2_b
-            return
-        n = n_a + n_b
-        delta = mean_b - self._mean
-        self._mean += delta * (n_b / n)
-        self._m2 += m2_b + delta * delta * (n_a * n_b / n)
-        self._count = n
-
-    @property
-    def count(self):
-        return self._count + len(self._pending)
-
-    @property
-    def mean(self):
-        self._flush()
-        if self._count == 0:
-            raise ValueError("mean of empty RunningMoments")
-        return self._mean
-
-    @property
-    def variance(self):
-        self._flush()
-        if self._count == 0:
-            raise ValueError("variance of empty RunningMoments")
-        return self._m2 / self._count
-
-    @property
-    def std(self):
-        return math.sqrt(self.variance)
-
-    def __repr__(self):
-        return "RunningMoments(count=%d)" % (self.count,)
 
 
 class LatencySummary:
@@ -194,6 +123,8 @@ class LatencySummary:
 
 def summarize(values):
     """Compute a :class:`LatencySummary` over a latency sample."""
+    import numpy as np
+
     arr = _as_sample(values, "summarize")
     mean = float(arr.mean())
     variance = float(arr.var())

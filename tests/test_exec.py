@@ -241,6 +241,9 @@ def test_artifact_mirrors_run_result():
     assert artifact.summary.variance == result.summary.variance
     assert artifact.metrics_snapshot() == result.metrics_snapshot()
     assert artifact.event_log_jsonl() == result.event_log_jsonl()
+    # Only the artifact's slot is named ``metrics``; a live result reads
+    # its registry through ``metrics_snapshot()`` alone.
+    assert not hasattr(result, "metrics")
     assert artifact.check_report() == result.check_report() == []
     assert artifact.config_digest == config.config_digest()
     assert artifact.digest() == result.digest() == run_digest(result)

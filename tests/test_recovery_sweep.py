@@ -30,10 +30,12 @@ import pytest
 from repro.bench import paperconfig as pc
 from repro.bench.digest import run_digest
 from repro.bench.runner import ExperimentConfig, run_experiment
+from repro.core.tracing import Tracer
 from repro.engines.mysql import mysql_callgraph
 from repro.engines.postgres import postgres_callgraph
 from repro.exec import run_many
 from repro.faults.plan import FaultPlan, named_plan
+from repro.replication import ReplicationConfig
 
 from tests.util import assert_hash_seed_invariant
 
@@ -251,3 +253,47 @@ def test_probed_crash_leaves_dead_workers_quiet(engine, monkeypatch):
     gc.collect()
     assert raised == []
     assert digest == run_digest(run_experiment(base))
+
+
+@pytest.mark.parametrize("engine,seed", [("mysql", 1), ("postgres", 5)])
+def test_crashed_branch_records_no_frame_when_finalised(engine, seed,
+                                                        monkeypatch):
+    """A node crash empties the frame stack of a 2PC branch that is not
+    left in doubt, as it does a client transaction's, so its dead worker
+    records nothing when it is finalised.  At these seeds the crash lands
+    while branches are mid statement (MySQL's ``200/n0`` inside
+    ``os_event_wait`` [A]; Postgres's ``197/n0`` inside ``XLogWrite`` and
+    ``199/n0`` inside ``ProcSleep``).  Left on the stack, their open
+    frames would be recorded when the kernel drops the dead worker's
+    wakeup, or after the run when the cyclic collector runs, with
+    durations running up to that moment."""
+    graph = mysql_callgraph() if engine == "mysql" else postgres_callgraph()
+    config = ExperimentConfig(
+        engine=engine,
+        workload="tpcc",
+        workload_kwargs={"warehouses": 4, "remote_payment_prob": 0.3},
+        seed=seed,
+        n_txns=300,
+        rate_tps=500.0,
+        num_shards=2,
+        replicas=1,
+        replication=ReplicationConfig(mode="semi_sync"),
+        fault_plan=named_plan("node-crash"),
+        instrumented=frozenset(graph.functions),
+        probe_cost=0.05,
+    )
+    exits = []
+    real_exit = Tracer.exit
+
+    def spy(tracer, ctx):
+        if isinstance(sys.exc_info()[1], GeneratorExit):
+            exits.append((ctx.txn_id, ctx.stack[-1].key))
+        return real_exit(tracer, ctx)
+
+    gc.collect()
+    monkeypatch.setattr(Tracer, "exit", spy)
+    result = run_experiment(config)
+    assert result.fault_counts["node_crashes"] == 1
+    del result
+    gc.collect()
+    assert exits == []
