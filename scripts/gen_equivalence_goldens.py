@@ -6,10 +6,10 @@ Usage::
     PYTHONPATH=src python scripts/gen_equivalence_goldens.py
 
 Writes ``tests/goldens/equivalence_digests.json``: one SHA-256 digest
-per (engine, seed, telemetry) cell plus one fault-plan run, each
-covering the run's full observable output (exact latency sequence,
-final virtual clock, metrics snapshot, abort/failure/fault counts —
-see ``repro.bench.digest``).
+per (engine, seed, telemetry) cell, one fault-plan run and three
+fault-free clustered runs, each covering the run's full observable
+output (exact latency sequence, final virtual clock, metrics snapshot,
+abort/failure/fault counts — see ``repro.bench.digest``).
 
 Also writes ``tests/goldens/traced_digests.json``: probed runs at
 TProfiler's probe cost, one :func:`trace_digest` per
@@ -72,6 +72,21 @@ def golden_configs():
         "VATS", seed=SEEDS[0], n_txns=N_TXNS,
     ).replaced(fault_plan=named_plan("full-chaos"))
     yield "mysql/seed7/full-chaos", chaos
+    # Fault-free clustered runs: the single-home hop, the replica
+    # ship/ack loop and the net/cluster/repl counters, with no fault plan.
+    for engine in ("mysql", "postgres"):
+        yield "%s/2shard/seed%d" % (engine, SEEDS[0]), ExperimentConfig(
+            engine=engine,
+            workload="tpcc",
+            workload_kwargs={"warehouses": 4, "remote_payment_prob": 0.3},
+            seed=SEEDS[0],
+            n_txns=N_TXNS,
+            num_shards=2,
+        )
+    yield "mysql/replicated/seed%d" % SEEDS[0], pc.mysql_2wh_experiment(
+        seed=SEEDS[0], n_txns=N_TXNS,
+    ).replaced(replicas=1, replication=ReplicationConfig(
+        mode="semi_sync", read_policy="replica_ok"))
 
 
 def _hex_map(durations):

@@ -102,15 +102,11 @@ class BufferPool:
         self._hit_cost = float(self.config.hit_cost)
         tm = sim.telemetry
         self._tm = tm
-        self._t_hits = tm.counter(name + ".hits")
-        self._t_misses = tm.counter(name + ".misses")
-        # The hit/miss counters shadow the plain accounting attributes
-        # one-for-one; the hit counter is the single hottest instrument
-        # in a run, so both are folded in bulk at registry flush (always
-        # before a snapshot) instead of paying an inc per page access.
-        self._flushed_hits = 0
-        self._flushed_misses = 0
-        tm.add_flush_hook(self._flush_counters)
+        # Hits are the single hottest count in a run, so the hit/miss
+        # counters are the plain accounting attributes, read at snapshot
+        # time instead of paying an inc per page access.
+        tm.counter_from(name + ".hits", lambda: self.hits)
+        tm.counter_from(name + ".misses", lambda: self.misses)
         self._t_evictions = tm.counter(name + ".evictions")
         self._t_writebacks = tm.counter(name + ".dirty_writebacks")
         self._t_deferrals = tm.counter(name + ".llu_deferrals")
@@ -125,17 +121,6 @@ class BufferPool:
     def hit_ratio(self):
         total = self.hits + self.misses
         return self.hits / total if total else 1.0
-
-    def _flush_counters(self):
-        """Fold the deferred hit/miss totals into their counters."""
-        delta = self.hits - self._flushed_hits
-        if delta:
-            self._t_hits.inc(delta)
-            self._flushed_hits = self.hits
-        delta = self.misses - self._flushed_misses
-        if delta:
-            self._t_misses.inc(delta)
-            self._flushed_misses = self.misses
 
     def contains(self, page_id):
         return page_id in self._pages

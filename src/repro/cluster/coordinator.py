@@ -152,36 +152,19 @@ class Cluster:
         self.cross_shard_txns = 0
         self.replica_read_txns = 0
         tm = self.telemetry
-        self._t_replica_reads = tm.counter("cluster.replica_reads")
+        # The three routing counters are the plain accounting attributes
+        # above, read at snapshot time instead of an inc per submit().
+        tm.counter_from("cluster.replica_reads",
+                        lambda: self.replica_read_txns)
+        tm.counter_from("cluster.single_home_txns",
+                        lambda: self.single_home_txns)
+        tm.counter_from("cluster.cross_shard_txns",
+                        lambda: self.cross_shard_txns)
         self._t_committed = tm.counter("cluster.txns_committed")
         self._t_failed = tm.counter("cluster.txns_failed")
         self._t_retries = tm.counter("cluster.txn_retries")
-        self._t_single_home = tm.counter("cluster.single_home_txns")
-        self._t_cross_shard = tm.counter("cluster.cross_shard_txns")
         self._t_prepare_wait = tm.histogram("cluster.prepare_wait")
         self._t_commit_wait = tm.histogram("cluster.commit_wait")
-        # The three routing counters shadow the plain accounting
-        # attributes one-for-one and fire once per transaction; they are
-        # folded in bulk at registry flush instead of per submit().
-        self._flushed_single = 0
-        self._flushed_cross = 0
-        self._flushed_replica = 0
-        tm.add_flush_hook(self._flush_counters)
-
-    def _flush_counters(self):
-        """Fold the deferred routing totals into their counters."""
-        delta = self.single_home_txns - self._flushed_single
-        if delta:
-            self._t_single_home.inc(delta)
-            self._flushed_single = self.single_home_txns
-        delta = self.cross_shard_txns - self._flushed_cross
-        if delta:
-            self._t_cross_shard.inc(delta)
-            self._flushed_cross = self.cross_shard_txns
-        delta = self.replica_read_txns - self._flushed_replica
-        if delta:
-            self._t_replica_reads.inc(delta)
-            self._flushed_replica = self.replica_read_txns
 
     # ------------------------------------------------------------------
     # Driver protocol
@@ -281,21 +264,10 @@ class Cluster:
         # so a coordinator crash can only catch this process *before* the
         # hand-off (mid network send) — recovery then fails the txn with
         # ``coord_crash``.
-        network = self.network
         try:
-            if network._faults.enabled:
-                yield from network.send(
-                    self.COORD, node.node_id, self.topology.request_bytes
-                )
-            else:
-                # Fault-free fast hop: the whole request message costs
-                # one precomputed delay (Network.send_delay mutates the
-                # same link state and draws the same latency sample), so
-                # the hop runs in this frame with a single bare-float
-                # yield instead of delegating into a send() generator.
-                yield network.send_delay(
-                    self.COORD, node.node_id, self.topology.request_bytes
-                )
+            yield from self.network.send(
+                self.COORD, node.node_id, self.topology.request_bytes
+            )
             node.engine.submit(ctx, spec)
         finally:
             self._live.pop(ctx, None)

@@ -501,20 +501,18 @@ class Engine:
         ctx = branch.ctx
         if branch.done.fired:
             return
+        # The branch's worker died with the node, in doubt or not: drop
+        # its open frames, so finalising the dead generator records none
+        # of them.
+        del ctx.stack[:]
         if branch.prepared.fired and branch.vote:
             # Voted yes: the prepare record is durable, the outcome is
             # the coordinator's to give.  Snapshot the locks now — the
             # lock table is about to be wiped — so recovery can re-grant
             # them before new work runs (``indoubt_wait`` holds them
-            # until the decision arrives).  The frames its dead worker
-            # left open are kept: the traced golden
-            # ``mysql/2shard-crash/all`` records them, closed when the
-            # kernel drops that worker's pending wakeup.
+            # until the decision arrives).
             report.indoubt.append((branch, self._held_locks(ctx)))
             return
-        # The branch's worker died with the node: drop its open frames,
-        # so finalising the dead generator records none of them.
-        del ctx.stack[:]
         if branch.prepared.fired:
             return  # already voted no; nothing volatile left to undo
         # Not yet prepared: the branch's work was volatile — vote no so

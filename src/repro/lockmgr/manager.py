@@ -162,16 +162,11 @@ class LockManager:
         # comparisons can assert against the distribution directly.
         tm = sim.telemetry
         self._tm = tm
-        self._t_requests = tm.counter("lockmgr.requests")
-        self._t_immediate = tm.counter("lockmgr.immediate_grants")
-        # The two hottest counters shadow the plain accounting attributes
-        # above one-for-one, so instead of paying a Counter.inc on every
-        # request they are folded in bulk when the registry flushes
-        # (always before a snapshot) — same final values, no per-request
-        # method calls.
-        self._flushed_requests = 0
-        self._flushed_immediate = 0
-        tm.add_flush_hook(self._flush_counters)
+        # The two hottest counters are the plain accounting attributes
+        # above, read at snapshot time: no Counter.inc per request.
+        tm.counter_from("lockmgr.requests", lambda: self.total_requests)
+        tm.counter_from("lockmgr.immediate_grants",
+                        lambda: self.immediate_grants)
         self._t_waits = tm.counter("lockmgr.waits")
         self._t_grants_after_wait = tm.counter("lockmgr.grants_after_wait")
         self._t_deadlocks = tm.counter("lockmgr.deadlocks")
@@ -182,17 +177,6 @@ class LockManager:
     # ------------------------------------------------------------------
     # Request / wait / release API
     # ------------------------------------------------------------------
-
-    def _flush_counters(self):
-        """Fold the deferred request/grant totals into their counters."""
-        delta = self.total_requests - self._flushed_requests
-        if delta:
-            self._t_requests.inc(delta)
-            self._flushed_requests = self.total_requests
-        delta = self.immediate_grants - self._flushed_immediate
-        if delta:
-            self._t_immediate.inc(delta)
-            self._flushed_immediate = self.immediate_grants
 
     def request(self, ctx, obj_id, mode):
         """Instantaneous lock decision; never blocks.

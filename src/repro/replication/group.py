@@ -121,18 +121,14 @@ class ReplicaGroup:
         #: parked, so the common no-waiter ack costs no event object.
         self._ack_event = None
         disk_config = config.apply_disk or DiskConfig.battery_backed()
-        self._t_shipped = self.telemetry.counter(
-            "repl.s%d.shipped_bytes" % (shard,)
-        )
-        self._t_acks = self.telemetry.counter("repl.s%d.acks" % (shard,))
-        # Both counters shadow plain accounting attributes one-for-one
-        # and fire on every commit/ack; fold them in bulk at registry
-        # flush instead of paying a Counter.inc per replicated record.
+        # Both counts change on every commit/ack; the registry reads the
+        # plain attributes at snapshot time instead of a Counter.inc each.
         self.shipped_bytes = 0
         self.acks = 0
-        self._flushed_shipped = 0
-        self._flushed_acks = 0
-        self.telemetry.add_flush_hook(self._flush_counters)
+        self.telemetry.counter_from("repl.s%d.shipped_bytes" % (shard,),
+                                    lambda: self.shipped_bytes)
+        self.telemetry.counter_from("repl.s%d.acks" % (shard,),
+                                    lambda: self.acks)
         self.replicas = []
         for idx in range(n_replicas):
             label = "repl.s%dr%d" % (shard, idx)
@@ -157,17 +153,6 @@ class ReplicaGroup:
         if event is not None:
             setattr(replica, attr, None)
             event.fire(None)
-
-    def _flush_counters(self):
-        """Fold the deferred shipped/ack totals into their counters."""
-        delta = self.shipped_bytes - self._flushed_shipped
-        if delta:
-            self._t_shipped.inc(delta)
-            self._flushed_shipped = self.shipped_bytes
-        delta = self.acks - self._flushed_acks
-        if delta:
-            self._t_acks.inc(delta)
-            self._flushed_acks = self.acks
 
     def _fire_acks(self):
         # Broadcast: detach the event, fire it so every parked commit
@@ -197,16 +182,9 @@ class ReplicaGroup:
                 continue
             lsn_end, nbytes, origin = self.log[replica.cursor]
             replica.cursor += 1
-            if net._faults.enabled:
-                yield from net.send(
-                    self.net_id, replica.net_id,
-                    nbytes + cfg.ship_record_bytes,
-                )
-            else:
-                yield net.send_delay(
-                    self.net_id, replica.net_id,
-                    nbytes + cfg.ship_record_bytes,
-                )
+            yield from net.send(
+                self.net_id, replica.net_id, nbytes + cfg.ship_record_bytes
+            )
             if replica.retired:
                 continue
             replica.received_lsn = lsn_end
@@ -216,14 +194,7 @@ class ReplicaGroup:
             # count of records shipped to this replica.
             replica.recv_cursor = replica.cursor
             self._wake(replica, "apply_wakeup")
-            if net._faults.enabled:
-                yield from net.send(
-                    replica.net_id, self.net_id, cfg.ack_bytes
-                )
-            else:
-                yield net.send_delay(
-                    replica.net_id, self.net_id, cfg.ack_bytes
-                )
+            yield from net.send(replica.net_id, self.net_id, cfg.ack_bytes)
             if replica.retired:
                 continue
             replica.acked_lsn = lsn_end

@@ -4,8 +4,9 @@ A :class:`Simulator` owns a virtual clock (``now``, in microseconds) and a
 priority queue of scheduled wakeups.  Simulated activities are *processes*:
 plain Python generator functions that ``yield`` command objects —
 
-- ``yield delay`` — a bare non-negative ``float``: resume after ``delay``
-  microseconds of virtual time (the zero-allocation fast path);
+- ``yield delay`` — a bare non-negative ``float`` (or ``int``): resume
+  after ``delay`` microseconds of virtual time (the zero-allocation
+  fast path);
 - ``yield Timeout(delay)`` — the same, as an explicit command object;
 - ``yield WaitEvent(event)`` — block until ``event`` fires; the yield
   evaluates to ``True``;
@@ -14,6 +15,10 @@ plain Python generator functions that ``yield`` command objects —
   ``False`` on timeout;
 - ``yield event`` — sugar for ``WaitEvent(event)``;
 - ``yield proc`` — sugar for waiting on ``proc.done``.
+
+Commands are matched by exact class: an instance of a subclass of
+``Timeout``, ``WaitEvent``, ``Event`` or ``Process`` (or of ``float``
+or ``int``) is rejected like any other unsupported command.
 
 Sub-calls compose with ``yield from``, so simulated "functions" nest like
 ordinary Python calls.  Determinism: ties in wakeup time are broken by a
@@ -25,15 +30,18 @@ Performance
 
 Every paper experiment funnels through :meth:`Simulator.run`, so the
 dispatch loop is written for wall-clock speed: a single flat loop with
-hoisted locals replaces the ``_resume``/``_dispatch`` call chain, exact
-class checks replace the ``isinstance`` ladder, same-time wakeups go
-through a FIFO ``deque`` instead of heap round-trips, and the
-per-dispatch telemetry updates are accumulated locally and flushed when
-the loop exits.  None of this may be visible in *virtual* time: the
-straightforward loop is preserved in :mod:`repro.sim.refkernel` and
-``tests/test_kernel_differential.py`` plus the golden digests in
-``tests/test_equivalence_goldens.py`` pin this kernel to its exact
-semantics — same (config, seed) ⇒ byte-identical results.
+hoisted locals replaces the ``_resume``/``_dispatch`` call chain, and
+each command is handled by one delay block (bare ``float``/``int``,
+``Timeout``) or one wait block (``WaitEvent``, bare ``Event``,
+``Process``), chosen by exact class.  Same-time wakeups go through a
+FIFO ``deque`` instead of heap round-trips, a wakeup that is provably
+next resumes the same process directly, and the run-queue gauge is
+updated from locals when the loop exits.  None of this may be visible
+in *virtual* time: the straightforward loop is preserved in
+:mod:`repro.sim.refkernel`, and ``tests/test_kernel_differential.py``
+plus the golden digests in ``tests/test_equivalence_goldens.py`` pin
+this kernel to its exact semantics — same (config, seed) ⇒
+byte-identical results.
 
 The ready-deque short-cut is order-preserving because the global
 sequence counter is monotonic: a wakeup scheduled *for* the current
@@ -193,9 +201,10 @@ class Simulator:
     :class:`~repro.faults.FaultInjector` (or the shared null injector),
     distributed the same way.
 
-    ``dispatch_count`` is a plain always-maintained int (unlike the
-    ``sim.dispatches`` counter it needs no registry), so wall-clock
-    harnesses can compute events/sec on telemetry-off runs.
+    ``dispatch_count`` is a plain always-maintained int, so wall-clock
+    harnesses can compute events/sec on telemetry-off runs; the
+    registry's ``sim.dispatches`` and ``sim.spawns`` counters read it
+    and the spawn count at snapshot time.
     """
 
     def __init__(self, telemetry=None, faults=None):
@@ -213,8 +222,8 @@ class Simulator:
         self._seq = 0
         self._spawned = 0
         self._t_enabled = self.telemetry.enabled
-        self._t_dispatches = self.telemetry.counter("sim.dispatches")
-        self._t_spawns = self.telemetry.counter("sim.spawns")
+        self.telemetry.counter_from("sim.dispatches", lambda: self.dispatch_count)
+        self.telemetry.counter_from("sim.spawns", lambda: self._spawned)
         self._t_runq_depth = self.telemetry.gauge("sim.runq_depth")
 
     # ------------------------------------------------------------------
@@ -226,8 +235,6 @@ class Simulator:
         if name is None:
             name = "proc-%d" % self._spawned
         self._spawned += 1
-        if self._t_enabled:
-            self._t_spawns.inc()
         process = Process(self, gen, name)
         self._schedule(0, process, None)
         return process
@@ -245,8 +252,13 @@ class Simulator:
         or later).
         """
         now = self.now
-        if until is not None and until < now:
+        # ``limit`` is ``until`` or infinity: one comparison per bound check.
+        if until is None:
+            limit = _INF
+        elif until < now:
             return now
+        else:
+            limit = until
         heap = self._heap
         ready = self._ready
         pop = heappop
@@ -269,8 +281,8 @@ class Simulator:
                     process, value = popleft()
                 elif heap:
                     time = heap[0][0]
-                    if until is not None and time > until:
-                        now = until
+                    if time > limit:
+                        now = limit
                         break
                     _, _, process, value = pop(heap)
                     self.now = now = time
@@ -294,12 +306,12 @@ class Simulator:
                 if process.done.fired:
                     continue
 
-                # Inner resume loop: each command branch either parks the
-                # process (``break`` back to the selection above) or —
-                # when the wakeup is provably the very next dispatch —
-                # advances the clock and resumes the same process
-                # directly (``continue``), skipping the heap round-trip.
-                # The direct resume preserves exact (time, seq) order: a
+                # Inner resume loop: the delay block and the wait block
+                # each either park the process (``break`` back to the
+                # selection above) or — when the wakeup is provably the
+                # very next dispatch — fall through to resume the same
+                # process directly, skipping the heap round-trip.  The
+                # direct resume preserves exact (time, seq) order: a
                 # fresh push would carry the highest seq, so it only
                 # fires next when nothing is ready, every heap entry is
                 # strictly later, and ``until`` is not crossed.
@@ -317,164 +329,77 @@ class Simulator:
                     self.current = None
 
                     tc = command.__class__
-                    if tc is float:
-                        # Bare-float shorthand for Timeout(command).  The
-                        # chained comparison is the exact Timeout guard:
-                        # NaN fails both sides, inf fails the right one.
-                        if 0.0 <= command < _INF:
-                            t = now + command
-                            if t > now:
-                                if (
-                                    not ready
-                                    and (not heap or t < heap[0][0])
-                                    and (until is None or t <= until)
-                                ):
-                                    self.now = now = t
-                                    n_dispatched += 1
-                                    if telemetry_on:
-                                        depth = len(heap) + len(ready)
-                                        if depth > runq_max:
-                                            runq_max = depth
-                                        runq_last = depth
-                                    value = None
-                                    continue
-                                self._seq = seq = self._seq + 1
-                                push(heap, (t, seq, process, None))
-                            else:
-                                append((process, None))
+                    if tc is float or tc is int or tc is Timeout:
+                        # The delay block.  Bare numbers are Timeout
+                        # shorthand (bool is not int here: `yield True`
+                        # is always a bug) and get the exact Timeout
+                        # guard: NaN fails both sides, inf the right one.
+                        if tc is Timeout:
+                            command = command.delay
+                        elif not 0.0 <= command < _INF:
+                            raise SimulationError(
+                                "Timeout delay must be finite and >= 0, got %r"
+                                % (command,)
+                            )
+                        t = now + command
+                        if t <= now:
+                            append((process, None))
                             break
-                        raise SimulationError(
-                            "Timeout delay must be finite and >= 0, got %r"
-                            % (command,)
-                        )
-                    if tc is Timeout:
-                        t = now + command.delay
-                        if t > now:
-                            if (
-                                not ready
-                                and (not heap or t < heap[0][0])
-                                and (until is None or t <= until)
-                            ):
-                                self.now = now = t
-                                n_dispatched += 1
-                                if telemetry_on:
-                                    depth = len(heap) + len(ready)
-                                    if depth > runq_max:
-                                        runq_max = depth
-                                    runq_last = depth
-                                value = None
-                                continue
+                        if ready or (heap and heap[0][0] <= t) or t > limit:
                             self._seq = seq = self._seq + 1
                             push(heap, (t, seq, process, None))
+                            break
+                        self.now = now = t
+                        value = None
+                    else:
+                        # The wait block; a bare Event or Process is
+                        # sugar for waiting on it (on ``done``).
+                        if tc is WaitEvent:
+                            event = command.event
+                            timeout = command.timeout
+                        elif tc is Event:
+                            event = command
+                            timeout = None
+                        elif tc is Process:
+                            event = command.done
+                            timeout = None
                         else:
-                            append((process, None))
-                        break
-                    if tc is WaitEvent:
-                        event = command.event
-                        if event.fired:
-                            if not ready and (not heap or heap[0][0] > now):
-                                # Already fired and nothing else is due
-                                # at this time: resume without the
-                                # ready-deque round-trip.
-                                n_dispatched += 1
-                                if telemetry_on:
-                                    depth = len(heap) + len(ready)
-                                    if depth > runq_max:
-                                        runq_max = depth
-                                    runq_last = depth
-                                value = True
-                                continue
-                            append((process, True))
-                        else:
+                            raise SimulationError(
+                                "process %s yielded unsupported command %r"
+                                % (process.name, command)
+                            )
+                        if not event.fired:
                             waiter = _Waiter(process)
                             event._waiters.append(waiter)
-                            timeout = command.timeout
                             if timeout is not None:
                                 t = now + timeout
                                 if t > now:
                                     self._seq = seq = self._seq + 1
-                                    push(
-                                        heap, (t, seq, _TimeoutCheck(waiter), None)
-                                    )
+                                    push(heap, (t, seq, _TimeoutCheck(waiter), None))
                                 else:
                                     append((_TimeoutCheck(waiter), None))
-                        break
-                    if tc is Event:
-                        if command.fired:
-                            if not ready and (not heap or heap[0][0] > now):
-                                n_dispatched += 1
-                                if telemetry_on:
-                                    depth = len(heap) + len(ready)
-                                    if depth > runq_max:
-                                        runq_max = depth
-                                    runq_last = depth
-                                value = True
-                                continue
-                            append((process, True))
-                        else:
-                            command._waiters.append(_Waiter(process))
-                        break
-                    if tc is Process:
-                        event = command.done
-                        if event.fired:
-                            if not ready and (not heap or heap[0][0] > now):
-                                n_dispatched += 1
-                                if telemetry_on:
-                                    depth = len(heap) + len(ready)
-                                    if depth > runq_max:
-                                        runq_max = depth
-                                    runq_last = depth
-                                value = True
-                                continue
-                            append((process, True))
-                        else:
-                            event._waiters.append(_Waiter(process))
-                        break
-                    if tc is int:
-                        # Ints work as bare delays too (config knobs are
-                        # sometimes written as ints); bool deliberately
-                        # does not — `yield True` is always a bug.
-                        if 0 <= command < _INF:
-                            t = now + command
-                            if t > now:
-                                if (
-                                    not ready
-                                    and (not heap or t < heap[0][0])
-                                    and (until is None or t <= until)
-                                ):
-                                    self.now = now = t
-                                    n_dispatched += 1
-                                    if telemetry_on:
-                                        depth = len(heap) + len(ready)
-                                        if depth > runq_max:
-                                            runq_max = depth
-                                        runq_last = depth
-                                    value = None
-                                    continue
-                                self._seq = seq = self._seq + 1
-                                push(heap, (t, seq, process, None))
-                            else:
-                                append((process, None))
                             break
-                        raise SimulationError(
-                            "Timeout delay must be finite and >= 0, got %r"
-                            % (command,)
-                        )
-                    self._dispatch_slow(process, command)
-                    break
+                        if ready or (heap and heap[0][0] <= now):
+                            append((process, True))
+                            break
+                        value = True
+                    # Direct resume: the wakeup is provably the very next
+                    # dispatch, so ``ready`` is empty and the run-queue
+                    # depth is the heap's.
+                    n_dispatched += 1
+                    if telemetry_on:
+                        depth = len(heap)
+                        if depth > runq_max:
+                            runq_max = depth
+                        runq_last = depth
         finally:
             self.now = now
             self.dispatch_count += n_dispatched
             if telemetry_on and n_dispatched:
-                self._t_dispatches.inc(n_dispatched)
                 gauge = self._t_runq_depth
                 gauge.set(runq_max)
                 gauge.set(runq_last)
         return now
-
-    def run_until_idle(self):
-        """Alias of :meth:`run` with no time bound."""
-        return self.run()
 
     # ------------------------------------------------------------------
     # Internals
@@ -495,35 +420,3 @@ class Simulator:
             heappush(self._heap, (t, seq, process, value))
         else:
             self._ready.append((process, value))
-
-    def _schedule_timeout_check(self, delay, waiter):
-        """Arrange for ``waiter`` to be woken with False after ``delay``."""
-        self._schedule(delay, _TimeoutCheck(waiter), None)
-
-    def _wait(self, process, event, timeout):
-        waiter = event._add_waiter(process)
-        if waiter is None:
-            # Already fired: resume immediately with True.
-            self._schedule(0, process, True)
-            return
-        if timeout is not None:
-            self._schedule_timeout_check(timeout, waiter)
-
-    def _dispatch_slow(self, process, command):
-        """Commands the fast loop's exact-class checks missed.
-
-        Subclasses of the command types land here and get the original
-        ``isinstance`` treatment; anything else is a genuine error.
-        """
-        if isinstance(command, Timeout):
-            self._schedule(command.delay, process, None)
-        elif isinstance(command, WaitEvent):
-            self._wait(process, command.event, command.timeout)
-        elif isinstance(command, Event):
-            self._wait(process, command, None)
-        elif isinstance(command, Process):
-            self._wait(process, command.done, None)
-        else:
-            raise SimulationError(
-                "process %s yielded unsupported command %r" % (process.name, command)
-            )

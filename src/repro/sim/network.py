@@ -21,6 +21,11 @@ propagation latency is multiplied by the plan's factor; during a
 partition window messages on affected links are *held* until the window
 heals and then delivered normally — deterministic stalls, never drops,
 so a partitioned 2PC run still terminates and stays byte-reproducible.
+
+Every sender delegates with ``yield from network.send(...)``, faults on
+or off.  A held message pays two yields that cannot merge: the hold,
+then the cost step :meth:`Network.send_delay`, which must read the
+link's state after the hold.
 """
 
 from repro.exec.schema import register_config
@@ -96,29 +101,14 @@ class Network:
         self.partition_holds = 0
         tm = sim.telemetry
         prefix = "net.%s" % name
-        self._t_messages = tm.counter(prefix + ".messages")
-        self._t_bytes = tm.counter(prefix + ".bytes")
+        # Every control message of a clustered run moves these two, so
+        # the registry reads the plain attributes at snapshot time
+        # instead of two Counter.incs per send.
+        tm.counter_from(prefix + ".messages", lambda: self.messages)
+        tm.counter_from(prefix + ".bytes", lambda: self.bytes_sent)
         self._t_latency = tm.histogram(prefix + ".latency")
         self._t_queue_delay = tm.histogram(prefix + ".queue_delay")
         self._t_partition_holds = tm.counter(prefix + ".partition_holds")
-        # The message/byte counters shadow the plain accounting
-        # attributes one-for-one and fire on every control message of a
-        # clustered run, so they are folded in bulk at registry flush
-        # instead of paying two Counter.incs per send.
-        self._flushed_messages = 0
-        self._flushed_bytes = 0
-        tm.add_flush_hook(self._flush_counters)
-
-    def _flush_counters(self):
-        """Fold the deferred message/byte totals into their counters."""
-        delta = self.messages - self._flushed_messages
-        if delta:
-            self._t_messages.inc(delta)
-            self._flushed_messages = self.messages
-        delta = self.bytes_sent - self._flushed_bytes
-        if delta:
-            self._t_bytes.inc(delta)
-            self._flushed_bytes = self.bytes_sent
 
     def send(self, src, dst, nbytes):
         """Generator: deliver ``nbytes`` from node ``src`` to node ``dst``.
@@ -134,49 +124,37 @@ class Network:
             if self.config.loopback_cost:
                 yield self.config.loopback_cost
             return
-        sim = self.sim
-        if self._faults.enabled:
-            heal = self._faults.net_partition_until(src, dst, sim.now)
-            if heal is not None and heal > sim.now:
+        faults = self._faults
+        if faults.enabled:
+            now = self.sim.now
+            heal = faults.net_partition_until(src, dst, now)
+            if heal is not None and heal > now:
                 # The link is cut: hold the message until the partition
                 # heals, then let it contend for the link normally.
                 self.partition_holds += 1
                 self._t_partition_holds.inc()
-                yield heal - sim.now
-        link = (src, dst)
-        xmit = nbytes / self.config.bandwidth_bytes_per_us
-        start = max(sim.now, self._busy_until.get(link, 0.0))
-        self._t_queue_delay.observe(start - sim.now)
-        self._busy_until[link] = start + xmit
-        latency = self._latency_dist.sample(self.rng)
-        if self._faults.enabled:
-            latency *= self._faults.net_latency_factor(sim.now)
-        self._t_latency.observe(latency)
-        yield (start + xmit + latency) - sim.now
+                yield heal - now
+        yield self.send_delay(src, dst, nbytes)
 
     def send_delay(self, src, dst, nbytes):
-        """The whole cost of :meth:`send` as one delay (fault-free path).
+        """The delay until a message entering link ``(src, dst)`` now arrives.
 
-        Hot senders (the single-home coordinator hop, the replication
-        ship loop) ``yield network.send_delay(...)`` instead of ``yield
-        from network.send(...)`` — identical state mutations, counter
-        totals and RNG draws, one generator frame fewer per message.
-        Only valid when ``src != dst`` and fault injection is disabled
-        (a partition hold needs the two-yield shape of :meth:`send`);
-        callers must fall back to :meth:`send` otherwise.
+        The cost step :meth:`send` yields: FIFO serialisation behind the
+        link's busy-until horizon, which it advances, plus one latency
+        draw.  It must run when the message enters the link, after any
+        partition hold, because it reads the link state at that moment.
         """
-        self.messages += 1
-        self.bytes_sent += nbytes
-        sim = self.sim
+        now = self.sim.now
         link = (src, dst)
         xmit = nbytes / self.config.bandwidth_bytes_per_us
-        now = sim.now
         start = self._busy_until.get(link, 0.0)
         if start < now:
             start = now
         self._t_queue_delay.observe(start - now)
         self._busy_until[link] = start + xmit
         latency = self._latency_dist.sample(self.rng)
+        if self._faults.enabled:
+            latency *= self._faults.net_latency_factor(now)
         self._t_latency.observe(latency)
         return (start + xmit + latency) - now
 

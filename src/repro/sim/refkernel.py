@@ -10,8 +10,9 @@ values and final clocks.
 Keep this file boring.  Performance work belongs in ``kernel.py``;
 the only changes this file should ever see are genuine *semantic*
 changes to the simulation model, made in both kernels at once (e.g.
-the bare-``float`` yield shorthand and the ``run(until=...)`` clock
-clamp, which landed here and in the fast kernel together).
+the bare-``float`` yield shorthand, the ``run(until=...)`` clock
+clamp and exact-class command matching, which landed here and in the
+fast kernel together).
 """
 
 import math
@@ -55,8 +56,8 @@ class ReferenceSimulator:
         self._seq = 0
         self._spawned = 0
         self._t_enabled = self.telemetry.enabled
-        self._t_dispatches = self.telemetry.counter("sim.dispatches")
-        self._t_spawns = self.telemetry.counter("sim.spawns")
+        self.telemetry.counter_from("sim.dispatches", lambda: self.dispatch_count)
+        self.telemetry.counter_from("sim.spawns", lambda: self._spawned)
         self._t_runq_depth = self.telemetry.gauge("sim.runq_depth")
 
     # ------------------------------------------------------------------
@@ -68,8 +69,6 @@ class ReferenceSimulator:
         if name is None:
             name = "proc-%d" % self._spawned
         self._spawned += 1
-        if self._t_enabled:
-            self._t_spawns.inc()
         process = Process(self, gen, name)
         self._schedule(0, process, None)
         return process
@@ -98,14 +97,9 @@ class ReferenceSimulator:
             self.now = time
             self.dispatch_count += 1
             if telemetry_on:
-                self._t_dispatches.inc()
                 self._t_runq_depth.set(len(heap))
             self._resume(process, value)
         return self.now
-
-    def run_until_idle(self):
-        """Alias of :meth:`run` with no time bound."""
-        return self.run()
 
     # ------------------------------------------------------------------
     # Internals
@@ -144,7 +138,9 @@ class ReferenceSimulator:
         self._dispatch(process, command)
 
     def _dispatch(self, process, command):
-        if type(command) in (float, int):
+        # Commands match by exact class; subclasses are unsupported.
+        kind = type(command)
+        if kind in (float, int):
             # Bare-number shorthand for ``Timeout(command)``; rejected
             # with the exact Timeout guard (NaN fails both comparisons,
             # bool is not accepted — `yield True` is always a bug).
@@ -153,13 +149,13 @@ class ReferenceSimulator:
                     "Timeout delay must be finite and >= 0, got %r" % (command,)
                 )
             self._schedule(command, process, None)
-        elif isinstance(command, Timeout):
+        elif kind is Timeout:
             self._schedule(command.delay, process, None)
-        elif isinstance(command, WaitEvent):
+        elif kind is WaitEvent:
             self._wait(process, command.event, command.timeout)
-        elif isinstance(command, Event):
+        elif kind is Event:
             self._wait(process, command, None)
-        elif isinstance(command, Process):
+        elif kind is Process:
             self._wait(process, command.done, None)
         else:
             raise SimulationError(

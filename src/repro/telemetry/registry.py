@@ -10,7 +10,9 @@ Design constraints, in order:
    objects obtained once at construction; the disabled registry hands
    out shared null instruments whose methods are empty, and exposes
    ``enabled`` so the hottest loops (the kernel dispatch loop) can skip
-   even the no-op call.
+   even the no-op call.  The hottest counts need no instrument at all:
+   they stay plain attributes that :meth:`MetricsRegistry.counter_from`
+   reads at snapshot time.
 3. **Determinism.**  Metric values are stamped with the virtual clock
    and derive only from simulation state, so same-seed runs produce
    byte-identical snapshots and event logs.
@@ -22,6 +24,7 @@ Usage::
     registry.bind_clock(sim)
     ...
     registry.counter("lockmgr.deadlocks").inc()
+    registry.counter_from("lockmgr.requests", lambda: lockmgr.total_requests)
     registry.histogram("disk.data.service_time").observe(125.0)
     registry.event("deadlock", txn=42, obj="stock:17")
     report = registry.snapshot()
@@ -72,11 +75,12 @@ class Histogram:
     ``observe`` is the registry's hottest method, so it only updates the
     cheap moments inline and parks the value in a flat pending list; the
     batch folds into the GK sketch — in arrival order, so sketch state
-    is identical to eager per-value folding — when a quantile or
-    snapshot is asked for.  Nothing else flushes, so every value since
-    the last flush is retained: a run snapshotted only at its end keeps
-    all of them (122,235 floats in one ``mysql-2wh-failover`` benchmark
-    pass at seed 7), and the folding stays out of the simulation loop.
+    is identical to eager per-value folding — when a quantile is asked
+    for or the registry flushes, which every snapshot does first.
+    Nothing else flushes, so every value since the last flush is
+    retained: a run snapshotted only at its end keeps all of them
+    (122,235 floats in one ``mysql-2wh-failover`` benchmark pass at
+    seed 7), and the folding stays out of the simulation loop.
     Anything reaching into ``_sketch`` directly must call :meth:`flush`
     first.
     """
@@ -193,7 +197,7 @@ class MetricsRegistry:
         self._counters = {}
         self._gauges = {}
         self._histograms = {}
-        self._flush_hooks = []
+        self._readers = {}
         self.events = EventLog(capacity=event_capacity)
 
     # ------------------------------------------------------------------
@@ -234,6 +238,16 @@ class MetricsRegistry:
             )
         return instrument
 
+    def counter_from(self, name, read):
+        """Count ``name`` as ``read()``, called at every snapshot.
+
+        Hot call sites keep their count in a plain attribute and register
+        a reader for it instead of paying a ``Counter.inc`` per event.
+        Readers of one name, and a :meth:`counter` of that name, add up,
+        so two simulators or pools sharing a registry still sum.
+        """
+        self._readers.setdefault(name, []).append(read)
+
     def event(self, kind, **fields):
         """Record a structured event stamped with the virtual clock."""
         self.events.emit(self.now(), kind, fields)
@@ -252,36 +266,23 @@ class MetricsRegistry:
         return LabeledRegistry(self, labels)
 
     # ------------------------------------------------------------------
-    # Deferred updates
-    # ------------------------------------------------------------------
-
-    def add_flush_hook(self, hook):
-        """Register ``hook()`` to run on :meth:`flush` (and snapshots).
-
-        Hot call sites may accumulate counts in plain attributes instead
-        of paying a ``Counter.inc`` per event; their hook folds the
-        accumulated total into the instrument.  Counter values are
-        order-independent sums, so deferred folding yields the exact
-        snapshot eager increments would.
-        """
-        self._flush_hooks.append(hook)
-
-    def flush(self):
-        """Drain all deferred instrument state registered via hooks."""
-        for hook in self._flush_hooks:
-            hook()
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+
+    def flush(self):
+        """Fold every histogram's parked values into its sketch."""
+        for histogram in self._histograms.values():
+            histogram.flush()
 
     def snapshot(self):
         """Everything measured so far, as plain JSON-serialisable dicts."""
         self.flush()
+        counters = {name: c.value for name, c in self._counters.items()}
+        for name, readers in self._readers.items():
+            counters[name] = counters.get(name, 0) + sum(
+                read() for read in readers)
         return {
-            "counters": {
-                name: c.value for name, c in sorted(self._counters.items())
-            },
+            "counters": dict(sorted(counters.items())),
             "gauges": {
                 name: {"value": g.value, "max": g.max}
                 for name, g in sorted(self._gauges.items())
@@ -362,11 +363,8 @@ class LabeledRegistry:
     def histogram(self, name, epsilon=None):
         return self._base.histogram(name + self._suffix, epsilon)
 
-    def add_flush_hook(self, hook):
-        self._base.add_flush_hook(hook)
-
-    def flush(self):
-        self._base.flush()
+    def counter_from(self, name, read):
+        self._base.counter_from(name + self._suffix, read)
 
     def event(self, kind, **fields):
         merged = dict(self.labels)
@@ -414,10 +412,7 @@ class NullRegistry:
     def histogram(self, name, epsilon=None):
         return _NULL_HISTOGRAM
 
-    def add_flush_hook(self, hook):
-        pass
-
-    def flush(self):
+    def counter_from(self, name, read):
         pass
 
     def event(self, kind, **fields):

@@ -74,14 +74,14 @@ COUNTS_PYTHON = (3, 11)
 
 #: mode -> (dispatches, heap pushes, calls).
 COUNTS = {
-    "mysql": (50_933, 10_572, 454_128),
-    "mysql-telemetry-off": (50_933, 10_572, 453_205),
-    "mysql-replicated-crash": (82_028, 17_092, 665_547),
-    "mysql-2shard": (51_552, 11_637, 272_077),
-    "postgres": (15_890, 1_669, 99_258),
-    "postgres-root-probed": (16_290, 1_766, 100_495),
-    "postgres-all-probed": (61_934, 3_098, 239_534),
-    "voltdb": (6_679, 3_641, 160_290),
+    "mysql": (50_933, 10_572, 453_862),
+    "mysql-telemetry-off": (50_933, 10_572, 453_203),
+    "mysql-replicated-crash": (82_028, 17_092, 665_441),
+    "mysql-2shard": (51_552, 11_637, 272_163),
+    "postgres": (15_890, 1_669, 99_123),
+    "postgres-root-probed": (16_290, 1_766, 100_360),
+    "postgres-all-probed": (61_934, 3_098, 239_399),
+    "voltdb": (6_679, 3_641, 160_284),
 }
 
 _PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep

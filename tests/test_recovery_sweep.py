@@ -255,16 +255,18 @@ def test_probed_crash_leaves_dead_workers_quiet(engine, monkeypatch):
     assert digest == run_digest(run_experiment(base))
 
 
-@pytest.mark.parametrize("engine,seed", [("mysql", 1), ("postgres", 5)])
+@pytest.mark.parametrize("engine,seed",
+                         [("mysql", 1), ("postgres", 5), ("postgres", 1)])
 def test_crashed_branch_records_no_frame_when_finalised(engine, seed,
                                                         monkeypatch):
-    """A node crash empties the frame stack of a 2PC branch that is not
-    left in doubt, as it does a client transaction's, so its dead worker
+    """A node crash empties the frame stack of every 2PC branch, in
+    doubt or not, as it does a client transaction's, so its dead worker
     records nothing when it is finalised.  At these seeds the crash lands
     while branches are mid statement (MySQL's ``200/n0`` inside
     ``os_event_wait`` [A]; Postgres's ``197/n0`` inside ``XLogWrite`` and
-    ``199/n0`` inside ``ProcSleep``).  Left on the stack, their open
-    frames would be recorded when the kernel drops the dead worker's
+    ``199/n0`` inside ``ProcSleep``; at Postgres seed 1 the in-doubt
+    ``200/n0`` inside ``LWLockAcquireOrWait``).  Left on the stack, their
+    open frames would be recorded when the kernel drops the dead worker's
     wakeup, or after the run when the cyclic collector runs, with
     durations running up to that moment."""
     graph = mysql_callgraph() if engine == "mysql" else postgres_callgraph()

@@ -9,6 +9,14 @@ from repro.sim.kernel import (
     Timeout,
     WaitEvent,
 )
+from repro.sim.refkernel import ReferenceSimulator
+
+
+@pytest.fixture(params=[Simulator, ReferenceSimulator],
+                ids=["kernel", "refkernel"])
+def either_sim(request):
+    """The contract cases below hold on both kernels."""
+    return request.param()
 
 
 def test_clock_starts_at_zero(sim):
@@ -374,3 +382,64 @@ def test_current_process_tracked(sim):
     sim.run()
     assert observed == ["myproc"]
     assert sim.current is None
+
+
+def test_bare_event_yield_waits_until_fired(either_sim):
+    sim = either_sim
+    event = sim.event()
+    seen = []
+
+    def waiter():
+        fired = yield event
+        seen.append((fired, sim.now))
+
+    def firer():
+        yield 4.0
+        event.fire()
+
+    sim.spawn(waiter())
+    sim.spawn(firer())
+    sim.run()
+    assert seen == [(True, 4.0)]
+
+
+def test_bare_event_yield_on_fired_event_resumes_at_once(either_sim):
+    sim = either_sim
+    event = sim.event()
+    event.fire()
+    seen = []
+
+    def proc():
+        yield 2.0
+        fired = yield event
+        seen.append((fired, sim.now))
+
+    sim.spawn(proc())
+    sim.run()
+    assert seen == [(True, 2.0)]
+
+
+class _MyTimeout(Timeout):
+    __slots__ = ()
+
+
+class _MyWaitEvent(WaitEvent):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("make", [
+    lambda sim: True,
+    lambda sim: _MyTimeout(1.0),
+    lambda sim: _MyWaitEvent(sim.event()),
+], ids=["true", "timeout-subclass", "wait-event-subclass"])
+def test_commands_match_by_exact_class(either_sim, make):
+    """bool is an int subclass but never a delay, and an instance of a
+    command subclass is an unsupported command, on both kernels."""
+    sim = either_sim
+
+    def proc():
+        yield make(sim)
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError):
+        sim.run()

@@ -61,6 +61,42 @@ class TestInstruments:
         assert snap["events"] == {"emitted": 1, "retained": 1, "dropped": 0}
 
 
+class TestCounterFrom:
+    def test_value_is_read_at_each_snapshot(self):
+        reg = MetricsRegistry()
+        box = {"n": 3}
+        reg.counter_from("hits", lambda: box["n"])
+        box["n"] = 5
+        assert reg.snapshot()["counters"] == {"hits": 5}
+        box["n"] = 9
+        assert reg.snapshot()["counters"] == {"hits": 9}
+
+    def test_readers_and_a_plain_counter_of_one_name_add_up(self):
+        reg = MetricsRegistry()
+        reg.counter_from("hits", lambda: 2)
+        reg.counter_from("hits", lambda: 3)
+        reg.counter("hits").inc(4)
+        assert reg.snapshot()["counters"] == {"hits": 9}
+
+    def test_labeled_view_registers_the_labeled_name(self):
+        reg = MetricsRegistry()
+        reg.labeled(node=1).counter_from("hits", lambda: 7)
+        assert reg.snapshot()["counters"] == {"hits{node=1}": 7}
+
+    def test_null_registry_ignores_it(self):
+        reg = NullRegistry()
+        reg.counter_from("hits", lambda: 7)
+        assert reg.snapshot() == {}
+
+    def test_snapshot_keys_stay_sorted(self):
+        reg = MetricsRegistry()
+        reg.counter_from("c", lambda: 1)
+        reg.counter("b").inc()
+        reg.counter_from("a", lambda: 1)
+        reg.counter("d").inc()
+        assert list(reg.snapshot()["counters"]) == ["a", "b", "c", "d"]
+
+
 class TestEvents:
     def test_events_stamped_with_bound_clock(self):
         sim = Simulator()
