@@ -69,7 +69,7 @@ def main():
     )
     if wait_hist.get("count"):
         print(
-            "  lock wait time: mean=%.0f us  p99=%.0f us  (n=%d, GK sketch)"
+            "  lock wait time: mean=%.0f us  p99=%.0f us  (n=%d, exact)"
             % (wait_hist["mean"], wait_hist["p99"], wait_hist["count"])
         )
     print(

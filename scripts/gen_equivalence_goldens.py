@@ -21,21 +21,34 @@ that every profile is built from.
 
 These goldens were captured from the *pre-optimisation* kernel and are
 the contract every kernel fast path must honour: same (config, seed) ⇒
-byte-identical RunResult.  Only regenerate them for an intentional
-semantic change to the simulation (new engine behaviour, workload fix),
-never to make a performance patch pass.
+byte-identical RunResult.  Regenerate them only for an intentional
+change, never to make a performance patch pass.  Two kinds qualify:
+
+- a semantic change to the simulation (new engine behaviour, workload
+  fix), naming every cell it moves;
+- a change to what the metrics report, when a field-by-field diff of
+  the payloads shows virtual time unchanged: the latencies, final clock,
+  counts and every other field equal, and only the reported metric
+  fields differ.
+
+``--dump DIR`` writes that diff's inputs instead of the goldens: each
+cell's canonical payload, traced cells with their attribution, as
+``DIR/<equivalence|traced>/<key>.json`` with one field per line.  Run it
+in two checkouts and compare them with ``diff -r``::
+
+    PYTHONPATH=src python scripts/gen_equivalence_goldens.py --dump /tmp/new
 """
 
+import argparse
+import hashlib
 import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-import hashlib
-
 from repro.bench import paperconfig as pc
-from repro.bench.digest import run_digest, run_payload
+from repro.bench.digest import run_payload
 from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.engines.mysql import mysql_callgraph
 from repro.engines.postgres import postgres_callgraph
@@ -95,8 +108,8 @@ def _hex_map(durations):
                   for (name, site), value in durations.items())
 
 
-def trace_digest(result):
-    """SHA-256 over ``run_payload`` plus every trace's attribution.
+def trace_payload(result):
+    """``run_payload`` plus every trace's attribution.
 
     Each trace in log order contributes its ``txn_id``, ``committed``,
     ``attempts`` and its ``durations`` and ``under`` maps, keys sorted
@@ -114,8 +127,18 @@ def trace_digest(result):
         ]
         for trace in result.log.traces
     ]
+    return payload
+
+
+def _digest(payload):
+    """SHA-256 over canonical JSON, as ``repro.bench.digest.run_digest``."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def trace_digest(result):
+    """SHA-256 over :func:`trace_payload`."""
+    return _digest(trace_payload(result))
 
 
 #: TProfiler's source-level probe cost (microseconds).
@@ -181,24 +204,36 @@ def traced_golden_configs():
                              probe_cost=TRACED_PROBE_COST)
 
 
-def _write(path, digests):
+def _write_json(path, value, indent):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(digests, fh, indent=2, sort_keys=True)
+        json.dump(value, fh, indent=indent, sort_keys=True)
         fh.write("\n")
-    print("wrote %d digests to %s" % (len(digests), path))
 
 
 def main():
-    for path, configs, digest in (
-        (GOLDEN_PATH, golden_configs(), run_digest),
-        (TRACED_GOLDEN_PATH, traced_golden_configs(), trace_digest),
+    parser = argparse.ArgumentParser(
+        description="Regenerate the equivalence and traced goldens.")
+    parser.add_argument(
+        "--dump", metavar="DIR",
+        help="write every cell's payload under DIR instead of the goldens")
+    args = parser.parse_args()
+    for path, kind, configs, payload_of in (
+        (GOLDEN_PATH, "equivalence", golden_configs(), run_payload),
+        (TRACED_GOLDEN_PATH, "traced", traced_golden_configs(),
+         trace_payload),
     ):
         digests = {}
         for key, config in configs:
-            digests[key] = digest(run_experiment(config))
+            payload = payload_of(run_experiment(config))
+            digests[key] = _digest(payload)
             print("%s  %s" % (digests[key], key))
-        _write(path, digests)
+            if args.dump:
+                _write_json(os.path.join(args.dump, kind, *key.split("/"))
+                            + ".json", payload, indent=1)
+        if not args.dump:
+            _write_json(path, digests, indent=2)
+            print("wrote %d digests to %s" % (len(digests), path))
     return 0
 
 

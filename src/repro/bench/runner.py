@@ -239,8 +239,8 @@ class RunResult:
 
         Counters and gauge values/maxima sum across nodes; histograms
         merge exactly for ``count``/``sum``/``mean``/``min``/``max``
-        (quantiles do not compose across sketches, so merged histograms
-        omit them).  Unlabeled instruments pass through untouched.
+        (per-node quantiles do not compose, so merged histograms omit
+        them).  Unlabeled instruments pass through untouched.
         """
         return snapshot_rollup(self.metrics_snapshot())
 

@@ -26,6 +26,8 @@ tests (and fuzzer reproducers) can assert on anomaly classes without
 string-matching prose.
 """
 
+from bisect import bisect_left
+
 from repro.storage.tables import SequentialTableModel
 
 from repro.check.recorder import OWN
@@ -127,13 +129,11 @@ def check_serializability(history):
                     ))
             else:
                 # Read-committed floor for snapshot reads: the latest
-                # version installed before this read.
-                expected = None
-                for commit_seq, version in installs.get(key, ()):
-                    if commit_seq < op.seq:
-                        expected = version
-                    else:
-                        break
+                # version installed before this read.  ``(op.seq,)``
+                # sorts before every install at that seq or later.
+                entries = installs.get(key, ())
+                before = bisect_left(entries, (op.seq,))
+                expected = entries[before - 1][1] if before else None
                 if op.observed != expected:
                     violations.append(Violation(
                         "stale-read", txn.txn_id,
@@ -254,6 +254,8 @@ def check_lock_intervals(history):
         for obj_id, mode, t0, t1 in txn.lock_intervals:
             per_object.setdefault(obj_id, []).append((t0, t1, mode, txn.txn_id))
     for obj_id, intervals in per_object.items():
+        if len(intervals) < 2:
+            continue  # a single hold overlaps nothing
         intervals.sort(key=lambda entry: (entry[0], entry[1]))
         active = []
         for t0, t1, mode, txn_id in intervals:

@@ -100,22 +100,6 @@ class DiskConfig:
             read_base_cv=0.4,
         )
 
-    @classmethod
-    def fast_ssd(cls):
-        """A low-latency device (the 'log on faster I/O' mitigation)."""
-        return cls(
-            write_base_mean=10.0,
-            write_base_cv=0.2,
-            bandwidth_bytes_per_us=2000.0,
-            flush_base_mean=150.0,
-            flush_base_cv=0.25,
-            flush_tail_prob=0.002,
-            flush_tail_scale=600.0,
-            flush_tail_alpha=2.5,
-            read_base_mean=60.0,
-            read_base_cv=0.25,
-        )
-
 
 class Disk:
     """One device: FIFO service, seeded latency draws, op counters."""

@@ -1,8 +1,8 @@
-"""Simulated-time telemetry: metrics registry, quantile sketches, events.
+"""Simulated-time telemetry: metrics registry, exact quantiles, events.
 
 The observability layer the paper's method presumes: every substrate
 (kernel, lock manager, buffer pool, WAL, disk, engines) publishes
-counters, gauges and streaming histograms into a per-run
+counters, gauges and exact-quantile histograms into a per-run
 :class:`MetricsRegistry`, stamped with the virtual clock, plus a bounded
 structured event log.  ``registry.snapshot()`` is the metrics report the
 benchmark runner attaches to every run.
@@ -25,12 +25,10 @@ from repro.telemetry.registry import (
     snapshot_rollup,
     split_label,
 )
-from repro.telemetry.sketch import GKSketch
 
 __all__ = [
     "Counter",
     "EventLog",
-    "GKSketch",
     "Gauge",
     "Histogram",
     "LabeledRegistry",

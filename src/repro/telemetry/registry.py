@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, quantile histograms, events.
+"""The metrics registry: counters, gauges, exact-quantile histograms, events.
 
 Design constraints, in order:
 
@@ -30,8 +30,10 @@ Usage::
     report = registry.snapshot()
 """
 
+from array import array
+from math import ceil
+
 from repro.telemetry.events import EventLog
-from repro.telemetry.sketch import GKSketch
 
 
 class Counter:
@@ -70,30 +72,28 @@ class Gauge:
 
 
 class Histogram:
-    """Moments plus a streaming quantile sketch over parked values.
+    """Moments plus exact quantiles over every observed value.
 
     ``observe`` is the registry's hottest method, so it only updates the
-    cheap moments inline and parks the value in a flat pending list; the
-    batch folds into the GK sketch — in arrival order, so sketch state
-    is identical to eager per-value folding — when a quantile is asked
-    for or the registry flushes, which every snapshot does first.
-    Nothing else flushes, so every value since the last flush is
-    retained: a run snapshotted only at its end keeps all of them
-    (122,235 floats in one ``mysql-2wh-failover`` benchmark pass at
-    seed 7), and the folding stays out of the simulation loop.
-    Anything reaching into ``_sketch`` directly must call :meth:`flush`
-    first.
+    running count, sum, min and max and parks the value in a flat
+    pending list.  :meth:`flush` sorts the pending values in with those
+    already sorted, which a quantile query and every registry snapshot
+    do first, so the sorting stays out of the simulation loop.  Every
+    value is retained (122,235 in one ``mysql-2wh-failover`` benchmark
+    pass at seed 7); once sorted they are held as C doubles.
+    ``quantile(q)`` is the value at 1-based rank ``max(1, ceil(q * n))``
+    of the sorted values, which is numpy's ``inverted_cdf`` percentile.
     """
 
-    __slots__ = ("name", "count", "sum", "min", "max", "_sketch", "_pending")
+    __slots__ = ("name", "count", "sum", "min", "max", "_sorted", "_pending")
 
-    def __init__(self, name, epsilon=0.01):
+    def __init__(self, name):
         self.name = name
         self.count = 0
         self.sum = 0.0
         self.min = None
         self.max = None
-        self._sketch = GKSketch(epsilon)
+        self._sorted = array("d")
         self._pending = []
 
     def observe(self, value):
@@ -109,18 +109,25 @@ class Histogram:
             self.max = value
 
     def flush(self):
-        """Fold pending observations into the sketch (arrival order)."""
-        if self._pending:
-            self._sketch.observe_many(self._pending)
-            del self._pending[:]
+        """Sort the values observed since the last flush in with the rest."""
+        pending = self._pending
+        if pending:
+            pending.extend(self._sorted)
+            pending.sort()
+            self._sorted = array("d", pending)
+            del pending[:]
 
     @property
     def mean(self):
         return self.sum / self.count if self.count else 0.0
 
     def quantile(self, q):
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("quantile q must be in [0, 1], got %r" % (q,))
+        if self.count == 0:
+            raise ValueError("quantile of empty histogram")
         self.flush()
-        return self._sketch.quantile(q)
+        return self._sorted[max(1, ceil(q * self.count)) - 1]
 
     def snapshot(self):
         if self.count == 0:
@@ -191,9 +198,8 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(self, clock=None, event_capacity=65536, sketch_epsilon=0.01):
+    def __init__(self, clock=None, event_capacity=65536):
         self._clock = clock
-        self.sketch_epsilon = sketch_epsilon
         self._counters = {}
         self._gauges = {}
         self._histograms = {}
@@ -230,12 +236,10 @@ class MetricsRegistry:
             instrument = self._gauges[name] = Gauge(name)
         return instrument
 
-    def histogram(self, name, epsilon=None):
+    def histogram(self, name):
         instrument = self._histograms.get(name)
         if instrument is None:
-            instrument = self._histograms[name] = Histogram(
-                name, epsilon if epsilon is not None else self.sketch_epsilon
-            )
+            instrument = self._histograms[name] = Histogram(name)
         return instrument
 
     def counter_from(self, name, read):
@@ -270,7 +274,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
 
     def flush(self):
-        """Fold every histogram's parked values into its sketch."""
+        """Sort every histogram's pending values in with its sorted ones."""
         for histogram in self._histograms.values():
             histogram.flush()
 
@@ -360,8 +364,8 @@ class LabeledRegistry:
     def gauge(self, name):
         return self._base.gauge(name + self._suffix)
 
-    def histogram(self, name, epsilon=None):
-        return self._base.histogram(name + self._suffix, epsilon)
+    def histogram(self, name):
+        return self._base.histogram(name + self._suffix)
 
     def counter_from(self, name, read):
         self._base.counter_from(name + self._suffix, read)
@@ -409,7 +413,7 @@ class NullRegistry:
     def gauge(self, name):
         return _NULL_GAUGE
 
-    def histogram(self, name, epsilon=None):
+    def histogram(self, name):
         return _NULL_HISTOGRAM
 
     def counter_from(self, name, read):
@@ -459,9 +463,10 @@ def snapshot_rollup(snapshot):
     """Cluster-wide totals: labeled instruments merged by base name.
 
     Counters and gauge values/maxima sum across nodes; histograms merge
-    exactly for ``count``/``sum``/``mean``/``min``/``max`` (quantiles do
-    not compose across sketches, so merged histograms omit them).
-    Unlabeled instruments pass through untouched.
+    exactly for ``count``/``sum``/``mean``/``min``/``max`` (a snapshot
+    keeps each node's quantiles, not its values, and per-node quantiles
+    do not compose, so merged histograms omit them).  Unlabeled
+    instruments pass through untouched.
     """
     counters = {}
     for name, value in snapshot.get("counters", {}).items():

@@ -74,23 +74,23 @@ COUNTS_PYTHON = (3, 11)
 
 #: mode -> (dispatches, heap pushes, calls).
 COUNTS = {
-    "mysql": (50_933, 10_572, 453_862),
+    "mysql": (50_933, 10_572, 453_849),
     "mysql-telemetry-off": (50_933, 10_572, 453_203),
-    "mysql-replicated-crash": (82_028, 17_092, 665_441),
-    "mysql-2shard": (51_552, 11_637, 272_163),
-    "postgres": (15_890, 1_669, 99_123),
-    "postgres-root-probed": (16_290, 1_766, 100_360),
-    "postgres-all-probed": (61_934, 3_098, 239_399),
-    "voltdb": (6_679, 3_641, 160_284),
+    "mysql-replicated-crash": (82_028, 17_092, 665_419),
+    "mysql-2shard": (51_552, 11_637, 272_129),
+    "postgres": (15_890, 1_669, 99_114),
+    "postgres-root-probed": (16_290, 1_766, 100_351),
+    "postgres-all-probed": (61_934, 3_098, 239_390),
+    "voltdb": (6_679, 3_641, 160_278),
 }
 
 _PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 
-def _counted(config):
-    """Run ``config``; return (dispatches, heap pushes, calls).
+def _repro_calls(fn):
+    """Call ``fn()``; return (its result, calls in ``repro`` frames).
 
-    The cyclic collector is off for the run: it would otherwise finalise
+    The cyclic collector is off for the call: it would otherwise finalise
     dead generators (a crashed node's workers) whenever it happens to
     run, which depends on everything else alive in the process.
     """
@@ -113,11 +113,17 @@ def _counted(config):
     try:
         sys.setprofile(profile)
         try:
-            result = run_experiment(config)
+            result = fn()
         finally:
             sys.setprofile(None)
     finally:
         gc.enable()
+    return result, calls
+
+
+def _counted(config):
+    """Run ``config``; return (dispatches, heap pushes, calls)."""
+    result, calls = _repro_calls(lambda: run_experiment(config))
     return result.sim.dispatch_count, result.sim._seq, calls
 
 
@@ -161,3 +167,19 @@ def test_kernel_keeps_wakeups_off_the_heap(measured):
                          simulator_cls=ReferenceSimulator).sim
     assert dispatches == ref.dispatch_count
     assert 2 * pushes <= ref._seq, (pushes, ref._seq)
+
+
+def test_snapshot_costs_calls_per_instrument_not_per_value():
+    """A snapshot sorts each histogram's values in one C call, so its
+    ``repro`` calls grow with the instruments, not with the observed
+    values.  The run observes enough values that a fold paying one call
+    per 50 of them would break the bound."""
+    result = run_experiment(MODES["mysql-replicated-crash"])
+    registry = result.sim.telemetry
+    instruments = (len(registry._counters) + len(registry._gauges)
+                   + len(registry._histograms)
+                   + sum(len(readers) for readers in registry._readers.values()))
+    values = sum(histogram.count for histogram in registry._histograms.values())
+    assert 4 * instruments < values / 50, (instruments, values)
+    _snapshot, calls = _repro_calls(result.metrics_snapshot)
+    assert calls <= 4 * instruments, (calls, instruments, values)

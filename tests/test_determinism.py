@@ -4,7 +4,7 @@ A run must be a pure function of ``(config, seed)`` — that is the
 foundation under every variance figure in the reproduction.  These
 tests run each engine twice with the same seed and assert *byte
 identical* telemetry: the JSONL event log and the full metrics snapshot
-(counters, gauge high-water marks, every histogram's sketch output),
+(counters, gauge high-water marks, every histogram's moments and quantiles),
 plus the latency vector itself.  Any nondeterminism smuggled into a hot
 path (dict-order dependence, wall-clock leakage, id()-keyed state)
 breaks these before it can silently skew a figure.

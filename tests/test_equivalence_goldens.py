@@ -14,8 +14,9 @@ payload, so a moved probe yield or site label fails here even though
 zero-cost probes would hide it.
 
 Regenerate with ``scripts/gen_equivalence_goldens.py`` — but only for
-an intentional *semantic* change to the simulation, never to make a
-performance patch pass.
+an intentional *semantic* change to the simulation, or an intentional
+change to what the metrics report whose ``--dump`` diff shows virtual
+time unchanged; never to make a performance patch pass.
 """
 
 import importlib.util

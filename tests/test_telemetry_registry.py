@@ -1,8 +1,12 @@
-"""MetricsRegistry: instruments, events, snapshots, disabled mode."""
+"""MetricsRegistry: instruments, exact quantiles, events, snapshots, disabled mode."""
 
 import json
+import math
 
+import numpy
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.kernel import Simulator, Timeout
 from repro.telemetry import (
@@ -42,11 +46,15 @@ class TestInstruments:
         assert snap["mean"] == pytest.approx(2.5)
         assert snap["min"] == 1.0
         assert snap["max"] == 4.0
-        assert 1.0 <= snap["p50"] <= 4.0
+        assert (snap["p50"], snap["p95"], snap["p99"]) == (2.0, 4.0, 4.0)
 
     def test_empty_histogram_snapshot(self):
-        reg = MetricsRegistry()
-        assert reg.histogram("lat").snapshot() == {"count": 0}
+        histogram = MetricsRegistry().histogram("lat")
+        assert histogram.snapshot() == {"count": 0}
+        histogram.flush()
+        assert histogram.snapshot() == {"count": 0}
+        with pytest.raises(ValueError, match="empty"):
+            histogram.quantile(0.5)
 
     def test_snapshot_is_json_serialisable_and_sorted(self):
         reg = MetricsRegistry()
@@ -59,6 +67,102 @@ class TestInstruments:
         json.dumps(snap)
         assert list(snap["counters"]) == ["a", "b"]
         assert snap["events"] == {"emitted": 1, "retained": 1, "dropped": 0}
+
+
+#: Observed values: floats with ±inf, ints, negatives, and a small pool
+#: of repeats so duplicates are common.
+VALUES = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False),
+        st.integers(min_value=-(10 ** 6), max_value=10 ** 6),
+        st.sampled_from((0.0, -1.5, 2.0, 7, math.inf, -math.inf)),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+QUANTILES = {"p50": 0.50, "p95": 0.95, "p99": 0.99}
+
+
+def _rank_value(values, q):
+    """The value at 1-based rank ``max(1, ceil(q * n))`` of the sorted values."""
+    ordered = sorted(float(v) for v in values)
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
+
+def _arrival_order_moments(values):
+    """count, sum, mean, min and max folded one value at a time."""
+    total = 0.0
+    low = high = None
+    for value in values:
+        value = float(value)
+        total += value
+        if low is None or value < low:
+            low = value
+        if high is None or value > high:
+            high = value
+    return {"count": len(values), "sum": total, "mean": total / len(values),
+            "min": low, "max": high}
+
+
+def _observed(values):
+    histogram = MetricsRegistry().histogram("h")
+    for value in values:
+        histogram.observe(value)
+    return histogram
+
+
+class TestExactQuantiles:
+    @settings(max_examples=200, deadline=None)
+    @given(VALUES)
+    @example([42.0])
+    @example([math.inf, -math.inf, math.inf])
+    def test_quantiles_are_exact_ranks(self, values):
+        snap = _observed(values).snapshot()
+        for field, q in QUANTILES.items():
+            assert snap[field] == _rank_value(values, q)
+            assert snap[field] == numpy.percentile(
+                values, 100 * q, method="inverted_cdf")
+
+    @settings(max_examples=200, deadline=None)
+    @given(VALUES)
+    @example([3])
+    @example([1e308, 1e308, -math.inf])
+    def test_moments_match_arrival_order_reference(self, values):
+        snap = _observed(values).snapshot()
+        want = _arrival_order_moments(values)
+        for field, value in want.items():
+            # repr tells -0.0 from 0.0 and compares NaN (inf + -inf) as equal.
+            assert repr(snap[field]) == repr(value), field
+
+    @settings(max_examples=100, deadline=None)
+    @given(VALUES, VALUES)
+    def test_observing_after_a_snapshot_sorts_again(self, first, second):
+        histogram = _observed(first)
+        assert histogram.snapshot()["p99"] == _rank_value(first, 0.99)
+        for value in second:
+            histogram.observe(value)
+        snap = histogram.snapshot()
+        assert snap["count"] == len(first) + len(second)
+        for field, q in QUANTILES.items():
+            assert snap[field] == _rank_value(first + second, q)
+
+    def test_quantile_bounds_are_min_and_max(self):
+        histogram = _observed([5.0, -2, 9.5, 5.0])
+        assert histogram.quantile(0.0) == -2.0
+        assert histogram.quantile(1.0) == 9.5
+
+    def test_nan_raises(self):
+        histogram = _observed([1.0])
+        with pytest.raises(ValueError, match="NaN"):
+            histogram.observe(float("nan"))
+        assert histogram.snapshot()["count"] == 1
+
+    def test_rejects_quantile_outside_unit_interval(self):
+        histogram = _observed([1.0])
+        for q in (-0.1, 1.1):
+            with pytest.raises(ValueError):
+                histogram.quantile(q)
 
 
 class TestCounterFrom:
